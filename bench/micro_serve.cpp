@@ -23,9 +23,8 @@
 //
 // Self-checks (always on, regardless of flags): async/batched results
 // are bit-identical to synchronous Kernel::run at every shard {1,2} x
-// queue-shard {1,2} x worker {1,2,4} x batch {off,on} x scheduling
-// {fifo, fairshare} configuration — queue shards exercise cross-shard
-// work stealing — on both workloads, and every completed light-tenant
+// worker {1,2,4} x batch {off,on} x scheduling {fifo, fairshare}
+// configuration on both workloads, and every completed light-tenant
 // flood request is bit-checked too.
 //
 // Tail latency: a seeded bursty heavy-tailed trace (Poisson bursts,
@@ -223,55 +222,51 @@ struct AsyncHarness {
   }
 };
 
-/// Bit-identity: four fresh requests through a (Shards, QueueShards,
-/// Workers, Batch, Scheduling) server must reproduce the synchronous
-/// reference exactly. QueueShards > 1 with more workers than shards
-/// exercises cross-shard work stealing; FairShare submits under two
-/// tenants so the deficit-round-robin path serves the requests.
+/// Bit-identity: four fresh requests through a (Shards, Workers, Batch,
+/// Scheduling) server must reproduce the synchronous reference exactly.
+/// FairShare submits under two tenants so the deficit-round-robin path
+/// serves the requests.
 void checkIdentity(const Program &Prog, const char *Name) {
   OwnedArgs Reference(Prog);
   Kernel Direct = Kernel::compile(Prog);
   if (!Direct.run(Reference.binding()))
     fail("reference run failed");
   for (size_t Shards : {size_t(1), size_t(2)})
-    for (size_t QueueShards : {size_t(1), size_t(2)})
-      for (int Workers : {1, 2, 4})
-        for (size_t MaxBatch : {size_t(1), size_t(8)})
-          for (SchedulerPolicy Policy :
-               {SchedulerPolicy::Fifo, SchedulerPolicy::FairShare}) {
-            ServerOptions Options;
-            Options.Shards = Shards;
-            Options.QueueShards = QueueShards;
-            Options.Workers = Workers;
-            Options.MaxBatch = MaxBatch;
-            Options.Scheduling = Policy;
-            Server S(Options);
-            Kernel K = S.compile(Prog);
-            constexpr int Requests = 4;
-            std::vector<std::unique_ptr<OwnedArgs>> Owned;
-            std::vector<std::future<RunStatus>> Futures;
-            for (int I = 0; I < Requests; ++I) {
-              Owned.push_back(std::make_unique<OwnedArgs>(Prog));
-              SubmitOptions SO;
-              SO.Tenant = static_cast<uint32_t>(I % 2);
-              Futures.push_back(
-                  S.submit(K, K.bind(Owned.back()->binding()), SO));
-            }
-            for (int I = 0; I < Requests; ++I) {
-              if (!Futures[I].get().ok())
-                fail("async request failed during identity check");
-              if (Owned[I]->Buffers != Reference.Buffers) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: %s async results diverge from synchronous run "
-                    "at shards=%zu queues=%zu workers=%d batch=%zu "
-                    "policy=%s\n",
-                    Name, Shards, QueueShards, Workers, MaxBatch,
-                    Policy == SchedulerPolicy::Fifo ? "fifo" : "fairshare");
-                std::exit(1);
-              }
+    for (int Workers : {1, 2, 4})
+      for (size_t MaxBatch : {size_t(1), size_t(8)})
+        for (SchedulerPolicy Policy :
+             {SchedulerPolicy::Fifo, SchedulerPolicy::FairShare}) {
+          ServerOptions Options;
+          Options.Shards = Shards;
+          Options.Workers = Workers;
+          Options.MaxBatch = MaxBatch;
+          Options.Scheduling = Policy;
+          Server S(Options);
+          Kernel K = S.compile(Prog);
+          constexpr int Requests = 4;
+          std::vector<std::unique_ptr<OwnedArgs>> Owned;
+          std::vector<std::future<RunStatus>> Futures;
+          for (int I = 0; I < Requests; ++I) {
+            Owned.push_back(std::make_unique<OwnedArgs>(Prog));
+            SubmitOptions SO;
+            SO.Tenant = static_cast<uint32_t>(I % 2);
+            Futures.push_back(
+                S.submit(K, K.bind(Owned.back()->binding()), SO));
+          }
+          for (int I = 0; I < Requests; ++I) {
+            if (!Futures[I].get().ok())
+              fail("async request failed during identity check");
+            if (Owned[I]->Buffers != Reference.Buffers) {
+              std::fprintf(
+                  stderr,
+                  "FAIL: %s async results diverge from synchronous run "
+                  "at shards=%zu workers=%d batch=%zu policy=%s\n",
+                  Name, Shards, Workers, MaxBatch,
+                  Policy == SchedulerPolicy::Fifo ? "fifo" : "fairshare");
+              std::exit(1);
             }
           }
+        }
 }
 
 struct AsyncRow {
@@ -816,9 +811,9 @@ int main(int Argc, char **Argv) {
 
   checkIdentity(Gemm, "gemm");
   checkIdentity(Blend, "blend");
-  std::printf("bit-identity: async == sync at shards {1,2} x queues {1,2} "
-              "x workers {1,2,4} x batch {off,on} x {fifo,fairshare} on "
-              "both workloads\n\n");
+  std::printf("bit-identity: async == sync at shards {1,2} x workers "
+              "{1,2,4} x batch {off,on} x {fifo,fairshare} on both "
+              "workloads\n\n");
 
   std::printf("requests/s (pipelined %d deep on the async rows):\n",
               InFlight);

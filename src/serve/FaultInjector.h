@@ -31,9 +31,9 @@
 ///                        is forced admission distress: Low-priority
 ///                        requests shed as Overloaded);
 ///   "serve.worker"       top of a worker-lane dispatch (Delay stalls
-///                        the lane between pop and run — with
-///                        ServerOptions::StallTimeout armed, long enough
-///                        a delay makes the watchdog reclaim the claim);
+///                        the lane between pop and run, while queued
+///                        deadlines lapse and the other lanes carry the
+///                        load);
 ///   "kernel.run"         prepared-run dispatch (Delay makes the kernel
 ///                        itself slow, per request even inside a batch;
 ///                        Trigger injects a run fault — an
@@ -45,9 +45,6 @@
 /// Scenarios are reproducible: every site draws from an Rng stream
 /// derived from (scenario seed, site name), independent of thread
 /// interleaving. See support/FailPoint.h for the spec string grammar.
-///
-/// In builds with DAISY_ENABLE_FAILPOINTS=0 everything here is a no-op
-/// (enabled() returns false; tests skip themselves).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,9 +82,6 @@ public:
   uint64_t fireCount(const std::string &Site) const {
     return failPointFireCount(Site);
   }
-
-  /// True when fault injection is compiled in (DAISY_ENABLE_FAILPOINTS).
-  static constexpr bool enabled() { return DAISY_ENABLE_FAILPOINTS != 0; }
 
   /// Scenario seed for this process: the DAISY_FAILPOINTS_SEED
   /// environment variable when set (decimal), else \p Default — how CI

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Scheduler.h"
-#include "serve/RequestQueue.h"
 
 #include <array>
 #include <tuple>
@@ -87,64 +86,6 @@ Scheduler::PushResult Scheduler::push(Request &R, size_t *DepthAfter) {
   return PushResult::Ok;
 }
 
-Scheduler::PushResult Scheduler::requeue(Request &R) {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  // After close() the worker pool may already have drained and exited;
-  // admitting here could strand the request (and its future) forever.
-  if (Closed)
-    return PushResult::ShutDown;
-  if (R.Deadline != noDeadline() && serveNow() >= R.Deadline)
-    return PushResult::Expired;
-  // No capacity or quota check: the request was admitted once and its
-  // future must complete, so a bounded transient overfill (at most one
-  // reclaimed batch per stalled worker) beats losing it.
-  R.Seq = NextSeq++;
-  if (R.Deadline != noDeadline())
-    ++FiniteDeadlines;
-  if (TenantQuota)
-    ++TenantQueued[R.Tenant];
-  enqueueLocked(std::move(R));
-  ++Queued;
-  if (Queued > MaxDepth)
-    MaxDepth = Queued;
-
-  bool Wake = WaitingPop > PendingPopWakes;
-  if (Wake)
-    ++PendingPopWakes;
-  Lock.unlock();
-  if (Wake)
-    NotEmpty.notify_one();
-  return PushResult::Ok;
-}
-
-bool Scheduler::collectLocked(std::vector<Request> &Batch,
-                              std::vector<Request> &Expired, size_t MaxBatch) {
-  // Shed first, select second: an expired request must not be picked as
-  // the batch head (EDF would otherwise favour exactly the requests that
-  // are already lost). The sweep is skipped entirely while nothing
-  // queued carries a finite deadline.
-  if (FiniteDeadlines > 0 && Queued > 0) {
-    size_t Before = Expired.size();
-    shedExpiredLocked(serveNow(), Expired);
-    size_t Shed = Expired.size() - Before;
-    FiniteDeadlines -= Shed;
-    Queued -= Shed;
-    if (TenantQuota)
-      for (size_t I = Before; I < Expired.size(); ++I)
-        tenantReleaseLocked(Expired[I]);
-  }
-  if (Queued > 0) {
-    selectBatchLocked(Batch, MaxBatch);
-    Queued -= Batch.size();
-    for (const Request &R : Batch) {
-      if (FiniteDeadlines > 0 && R.Deadline != noDeadline())
-        --FiniteDeadlines;
-      tenantReleaseLocked(R);
-    }
-  }
-  return !Batch.empty() || !Expired.empty();
-}
-
 bool Scheduler::popBatch(std::vector<Request> &Batch,
                          std::vector<Request> &Expired, size_t MaxBatch) {
   Batch.clear();
@@ -152,7 +93,29 @@ bool Scheduler::popBatch(std::vector<Request> &Batch,
   if (MaxBatch == 0)
     MaxBatch = 1;
   std::unique_lock<std::mutex> Lock(Mutex);
-  while (!collectLocked(Batch, Expired, MaxBatch)) {
+  for (;;) {
+    // Shed first, select second: an expired request must not be picked
+    // as the batch head (EDF would otherwise favour exactly the requests
+    // that are already lost). The sweep is skipped entirely while
+    // nothing queued carries a finite deadline.
+    if (FiniteDeadlines > 0 && Queued > 0) {
+      shedExpiredLocked(serveNow(), Expired);
+      FiniteDeadlines -= Expired.size();
+      Queued -= Expired.size();
+      for (const Request &R : Expired)
+        tenantReleaseLocked(R);
+    }
+    if (Queued > 0) {
+      selectBatchLocked(Batch, MaxBatch);
+      Queued -= Batch.size();
+      for (const Request &R : Batch) {
+        if (FiniteDeadlines > 0 && R.Deadline != noDeadline())
+          --FiniteDeadlines;
+        tenantReleaseLocked(R);
+      }
+    }
+    if (!Batch.empty() || !Expired.empty())
+      break;
     if (Closed)
       return false;
     ++WaitingPop;
@@ -168,58 +131,6 @@ bool Scheduler::popBatch(std::vector<Request> &Batch,
   if (WakePushers)
     NotFull.notify_all();
   return true;
-}
-
-Scheduler::PopResult Scheduler::tryPopBatch(std::vector<Request> &Batch,
-                                            std::vector<Request> &Expired,
-                                            size_t MaxBatch) {
-  Batch.clear();
-  Expired.clear();
-  if (MaxBatch == 0)
-    MaxBatch = 1;
-  std::unique_lock<std::mutex> Lock(Mutex);
-  if (!collectLocked(Batch, Expired, MaxBatch))
-    return Closed ? PopResult::Closed : PopResult::Empty;
-  bool WakePushers = WaitingPush > 0;
-  Lock.unlock();
-  if (WakePushers)
-    NotFull.notify_all();
-  return PopResult::Got;
-}
-
-Scheduler::PopResult Scheduler::popBatchFor(std::vector<Request> &Batch,
-                                            std::vector<Request> &Expired,
-                                            size_t MaxBatch,
-                                            std::chrono::microseconds Wait) {
-  Batch.clear();
-  Expired.clear();
-  if (MaxBatch == 0)
-    MaxBatch = 1;
-  TimePoint Until = serveNow() + Wait;
-  std::unique_lock<std::mutex> Lock(Mutex);
-  for (;;) {
-    if (collectLocked(Batch, Expired, MaxBatch))
-      break;
-    if (Closed)
-      return PopResult::Closed;
-    ++WaitingPop;
-    std::cv_status S = NotEmpty.wait_until(Lock, Until);
-    --WaitingPop;
-    if (PendingPopWakes > 0)
-      --PendingPopWakes;
-    if (S == std::cv_status::timeout) {
-      // Final collect under the same lock hold: a push that raced the
-      // timeout may have aimed its (now consumed) wake at us.
-      if (collectLocked(Batch, Expired, MaxBatch))
-        break;
-      return Closed ? PopResult::Closed : PopResult::Empty;
-    }
-  }
-  bool WakePushers = WaitingPush > 0;
-  Lock.unlock();
-  if (WakePushers)
-    NotFull.notify_all();
-  return PopResult::Got;
 }
 
 void Scheduler::close() {
@@ -282,11 +193,36 @@ void Scheduler::shedExpiredFrom(std::deque<Request> &Q, TimePoint Now,
   Q.erase(Q.begin() + Write, Q.end());
 }
 
+namespace {
+
+//===----------------------------------------------------------------------===//
+// Fifo: one deque in admission order, head first, with same-kernel
+// micro-batch coalescing.
+//===----------------------------------------------------------------------===//
+
+class FifoScheduler final : public Scheduler {
+public:
+  using Scheduler::Scheduler;
+
+private:
+  void enqueueLocked(Request &&R) override { Q.push_back(std::move(R)); }
+
+  void shedExpiredLocked(TimePoint Now,
+                         std::vector<Request> &Expired) override {
+    shedExpiredFrom(Q, Now, Expired);
+  }
+
+  void selectBatchLocked(std::vector<Request> &Batch,
+                         size_t MaxBatch) override {
+    fifoSelectFrom(Q, Batch, MaxBatch);
+  }
+
+  std::deque<Request> Q;
+};
+
 //===----------------------------------------------------------------------===//
 // PriorityLane: one FIFO lane per Priority, highest first.
 //===----------------------------------------------------------------------===//
-
-namespace {
 
 class PriorityLaneScheduler final : public Scheduler {
 public:
@@ -458,7 +394,7 @@ std::unique_ptr<Scheduler> Scheduler::create(SchedulerPolicy Which,
                                              size_t TenantQuota) {
   switch (Which) {
   case SchedulerPolicy::Fifo:
-    return std::make_unique<RequestQueue>(Capacity, Policy, TenantQuota);
+    return std::make_unique<FifoScheduler>(Capacity, Policy, TenantQuota);
   case SchedulerPolicy::PriorityLane:
     return std::make_unique<PriorityLaneScheduler>(Capacity, Policy,
                                                    TenantQuota);
@@ -467,7 +403,7 @@ std::unique_ptr<Scheduler> Scheduler::create(SchedulerPolicy Which,
   case SchedulerPolicy::FairShare:
     return std::make_unique<FairShareScheduler>(Capacity, Policy, TenantQuota);
   }
-  return std::make_unique<RequestQueue>(Capacity, Policy, TenantQuota);
+  return std::make_unique<FifoScheduler>(Capacity, Policy, TenantQuota);
 }
 
 } // namespace serve

@@ -16,10 +16,12 @@
 /// machinery with wake accounting, deadline bookkeeping, and the
 /// admission sequence — and delegates only the storage decisions (where
 /// a request waits, which request is served next) to virtual hooks
-/// called under the lock. Three policies exist:
+/// called under the lock. Four policies exist:
 ///
-///   - Fifo (serve/RequestQueue.h): strict admission order; the original
-///     bounded MPMC queue is this policy's implementation.
+///   - Fifo (the default): strict admission order in one deque. No
+///     request overtakes another, so per-request latency is fair, at the
+///     cost of tail latency under bursts — one heavy request delays
+///     everything behind it.
 ///   - PriorityLane: one FIFO lane per Priority level, served
 ///     highest-priority-first. Strict lanes can starve Low under
 ///     sustained High load — that is the policy's contract, not a bug;
@@ -130,8 +132,7 @@ struct Request {
   TimePoint EnqueuedAt{}; ///< Submit stamp; sojourn = completion - this.
   TimePoint ClaimedAt{};  ///< Worker pop stamp; queue wait = this -
                           ///< EnqueuedAt. Set by the claiming lane, not
-                          ///< the scheduler (a requeued batch is
-                          ///< re-stamped when re-claimed).
+                          ///< the scheduler.
   uint64_t Seq = 0;       ///< Admission order, assigned by push().
   uint32_t Tenant = 0;    ///< Fair-share / quota identity (0 = default).
   uint32_t Weight = 1;    ///< FairShare credits per rotation turn (>= 1).
@@ -155,13 +156,6 @@ public:
 
   enum class PushResult { Ok, Overloaded, ShutDown, Expired };
 
-  /// Outcome of the non-blocking / bounded-wait pop variants.
-  enum class PopResult {
-    Got,   ///< Batch and/or Expired filled.
-    Empty, ///< Nothing queued (within the wait bound); queue still open.
-    Closed ///< Closed and fully drained: the popper-exit signal.
-  };
-
   /// Creates the policy implementation ServerOptions selected.
   static std::unique_ptr<Scheduler> create(SchedulerPolicy Which,
                                            size_t Capacity,
@@ -176,16 +170,6 @@ public:
   /// receives the queue depth including \p R.
   PushResult push(Request &R, size_t *DepthAfter = nullptr);
 
-  /// Re-admits a request a watchdog reclaimed from a stalled worker.
-  /// Bypasses capacity and quota — the work was already admitted once
-  /// and its future must still be completed, so bounded transient
-  /// overfill beats stranding it — but still fails fast: returns
-  /// ShutDown when the queue is closed (all poppers may already have
-  /// exited) and Expired when the deadline has passed, handing \p R
-  /// back so the caller can complete the promise itself. Assigns a
-  /// fresh Seq (the request re-enters at its policy position "now").
-  PushResult requeue(Request &R);
-
   /// Blocks until at least one request is available (or the queue is
   /// closed and empty — returns false, the worker-exit signal). Fills
   /// \p Batch with the policy's head request plus up to \p MaxBatch - 1
@@ -195,19 +179,6 @@ public:
   /// either vector is non-empty.
   bool popBatch(std::vector<Request> &Batch, std::vector<Request> &Expired,
                 size_t MaxBatch);
-
-  /// popBatch without the unbounded wait: returns Empty instead of
-  /// sleeping. The work-stealing sweep uses this to probe sibling
-  /// shards without ever parking on their condvars.
-  PopResult tryPopBatch(std::vector<Request> &Batch,
-                        std::vector<Request> &Expired, size_t MaxBatch);
-
-  /// popBatch with a bounded wait: parks for at most \p Wait before
-  /// returning Empty. The home-shard poll of a stealing worker uses
-  /// this so idle workers still sleep instead of spinning.
-  PopResult popBatchFor(std::vector<Request> &Batch,
-                        std::vector<Request> &Expired, size_t MaxBatch,
-                        std::chrono::microseconds Wait);
 
   /// Stops admission and wakes every waiter; already-admitted requests
   /// remain poppable until drained.
@@ -254,11 +225,6 @@ protected:
                               std::vector<Request> &Expired);
 
 private:
-  /// The shed + select + bookkeeping core every pop variant shares.
-  /// Called under Mutex; returns true when it filled either vector.
-  bool collectLocked(std::vector<Request> &Batch, std::vector<Request> &Expired,
-                     size_t MaxBatch);
-
   /// True when admitting one more request of \p Tenant would exceed the
   /// per-tenant quota. Called under Mutex; always false with quota off.
   bool tenantAtQuotaLocked(uint32_t Tenant) const;

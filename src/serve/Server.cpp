@@ -28,9 +28,8 @@ namespace {
 // support/Histogram.h now (Log2Bucketing / LogLinearBucketing), shared
 // with the per-stage histograms and the obs/Metrics exporter.
 
-/// Microseconds between two stamps, clamped at zero (a watchdog requeue
-/// can re-stamp ClaimedAt after RunStart was conceived; telemetry never
-/// records negative durations).
+/// Microseconds between two stamps, clamped at zero: the histograms take
+/// unsigned samples, and a negative difference would wrap to a huge one.
 uint64_t elapsedUs(TimePoint From, TimePoint To) {
   auto Us = std::chrono::duration_cast<std::chrono::microseconds>(To - From)
                 .count();
@@ -62,9 +61,6 @@ Server::Server(ServerOptions Options)
       CRetries(statsCounterCell("Serve.SubmitRetries")),
       CBatchedRuns(statsCounterCell("Serve.BatchedRuns")),
       CDepthMax(statsCounterCell("Serve.QueueDepthMax")),
-      CStolen(statsCounterCell("Serve.StolenBatches")),
-      CStalls(statsCounterCell("Serve.WorkerStalls")),
-      CDispatchStalls(statsCounterCell("Serve.DispatchStalls")),
       CBrownouts(statsCounterCell("Serve.Brownouts")),
       CBrownoutSheds(statsCounterCell("Serve.BrownoutSheds")),
       CAffinityHits(statsCounterCell("Serve.ContextAffinityHits")),
@@ -97,23 +93,11 @@ Server::Server(ServerOptions Options)
       BrownoutLowDepth = BrownoutHighDepth - 1;
   }
 
-  // Queue shards split the configured capacity (and any tenant quota)
-  // evenly, so the option values keep their single-queue meaning as
-  // totals.
-  size_t NumQ = std::max<size_t>(Opts.QueueShards, 1);
-  size_t QueueCap = std::max<size_t>(Opts.QueueCapacity / NumQ, 1);
-  size_t Quota =
-      Opts.TenantQuota ? std::max<size_t>(Opts.TenantQuota / NumQ, 1) : 0;
-  Queues.reserve(NumQ);
-  for (size_t I = 0; I < NumQ; ++I)
-    Queues.push_back(
-        Scheduler::create(Opts.Scheduling, QueueCap, Opts.Policy, Quota));
+  Queue = Scheduler::create(Opts.Scheduling, Opts.QueueCapacity, Opts.Policy,
+                            Opts.TenantQuota);
 
   int Workers =
       Opts.Workers > 0 ? Opts.Workers : ThreadPool::defaultThreadCount();
-  Lanes.reserve(static_cast<size_t>(Workers));
-  for (int I = 0; I < Workers; ++I)
-    Lanes.push_back(std::make_unique<LaneState>());
   // The pool's lanes become queue drainers for the server's lifetime: the
   // dispatcher parks inside one fork-join run() whose W tasks are the
   // worker loops, and returns when close() lets every lane drain out.
@@ -123,23 +107,14 @@ Server::Server(ServerOptions Options)
   // once instead.
   Pool = std::make_unique<ThreadPool>(Workers);
   Dispatcher = std::thread([this, Workers] {
-    Pool->run(Workers, [this](int Lane) { workerLane(Lane); });
+    Pool->run(Workers, [this](int) { workerLane(); });
   });
-  if (Opts.StallTimeout.count() > 0)
-    Watchdog = std::thread([this] { watchdogLoop(); });
 }
 
 Server::~Server() {
-  for (auto &Q : Queues)
-    Q->close();
+  Queue->close();
   if (Dispatcher.joinable())
     Dispatcher.join();
-  // The watchdog outlives the lanes so a batch claimed by a lane that
-  // stalls *during* shutdown is still rescued (requeue returns ShutDown
-  // once closed and the watchdog completes the futures itself).
-  WatchdogStop.store(true, std::memory_order_release);
-  if (Watchdog.joinable())
-    Watchdog.join();
   // All lanes have exited: every admitted request was executed, shed, or
   // failed and every future fulfilled. ~ThreadPool joins the parked
   // workers.
@@ -163,18 +138,6 @@ Server::TenantCounters &Server::tenantCounters(uint32_t Tenant) {
              .first;
   }
   return It->second;
-}
-
-size_t Server::queueShardFor(const BoundArgs &Args) const {
-  if (Queues.size() == 1)
-    return 0;
-  // Kernel tokens are aligned pointers; a Fibonacci scramble of the
-  // high-entropy middle bits spreads them over the shards. Same kernel →
-  // same shard, so micro-batch coalescing keeps working per shard.
-  uint64_t Token =
-      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Args.kernelToken()));
-  uint64_t H = (Token >> 4) * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>((H >> 32) % Queues.size());
 }
 
 Kernel Server::compile(const Program &Prog) {
@@ -230,7 +193,6 @@ std::future<RunStatus> Server::submit(const Kernel &K, BoundArgs Args,
   // before push() even returns, and drain()'s Finished must never
   // overtake Admitted.
   Admitted.fetch_add(1);
-  Scheduler &Queue = *Queues[queueShardFor(R.Args)];
   size_t DepthAfter = 0;
   std::chrono::microseconds Backoff = Options.Backoff;
   Scheduler::PushResult Pushed;
@@ -240,7 +202,7 @@ std::future<RunStatus> Server::submit(const Kernel &K, BoundArgs Args,
     // without needing a real capacity storm.
     Pushed = DAISY_FAILPOINT("serve.queue.push")
                  ? Scheduler::PushResult::Overloaded
-                 : Queue.push(R, &DepthAfter);
+                 : Queue->push(R, &DepthAfter);
     if (Pushed == Scheduler::PushResult::Ok) {
       maxStatsCounter(CDepthMax, static_cast<int64_t>(DepthAfter));
       DepthHist.record(DepthAfter);
@@ -300,7 +262,7 @@ std::future<RunStatus> Server::submit(const Kernel &K, const ArgBinding &Args,
   return submit(K, K.bind(Args), Options);
 }
 
-void Server::workerLane(int Lane) {
+void Server::workerLane() {
   std::vector<Request> Batch;
   std::vector<Request> Expired;
   // Lane-local context affinity: the pooled RunContext of the kernel this
@@ -310,53 +272,9 @@ void Server::workerLane(int Lane) {
   // ("Serve.ContextAffinityHits"). Destroyed at lane exit, which returns
   // the context to its kernel's pool.
   RunContextLease Lease;
-  const size_t NumQ = Queues.size();
-  const size_t Home = static_cast<size_t>(Lane) % NumQ;
   const size_t MaxB = std::max<size_t>(Opts.MaxBatch, 1);
-  LaneState *Slot = (Lane >= 0 && static_cast<size_t>(Lane) < Lanes.size())
-                        ? Lanes[static_cast<size_t>(Lane)].get()
-                        : nullptr;
-  const bool Watched = Slot && Opts.StallTimeout.count() > 0;
-  for (;;) {
-    if (NumQ == 1) {
-      // Single shard: the classic blocking drain.
-      if (!Queues[0]->popBatch(Batch, Expired, MaxB))
-        break;
-    } else {
-      // Sharded: poll the home shard with a bounded wait, then sweep the
-      // siblings for a batch to steal — one hot shard keeps every lane
-      // busy instead of parking lanes behind cold shards.
-      Scheduler::PopResult Home_ = Queues[Home]->popBatchFor(
-          Batch, Expired, MaxB, std::chrono::microseconds(500));
-      if (Home_ != Scheduler::PopResult::Got) {
-        bool AllClosed = Home_ == Scheduler::PopResult::Closed;
-        bool Stole = false;
-        for (size_t Off = 1; Off < NumQ && !Stole; ++Off) {
-          Scheduler::PopResult S =
-              Queues[(Home + Off) % NumQ]->tryPopBatch(Batch, Expired, MaxB);
-          if (S == Scheduler::PopResult::Got)
-            Stole = true;
-          else if (S != Scheduler::PopResult::Closed)
-            AllClosed = false;
-        }
-        if (!Stole) {
-          if (AllClosed)
-            break;
-          // A drained home returns Closed without waiting; park briefly
-          // so the sibling sweep does not spin while they finish.
-          if (Home_ == Scheduler::PopResult::Closed)
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          continue;
-        }
-        if (!Batch.empty())
-          CStolen.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-
+  while (Queue->popBatch(Batch, Expired, MaxB)) {
     // Claim stamp: queue wait ends here for every request in the batch.
-    // A watchdog-reclaimed batch is requeued and re-stamped when a
-    // healthy lane pops it again, so the stages stay a partition of the
-    // final sojourn.
     if (!Batch.empty()) {
       TimePoint ClaimStamp = serveNow();
       for (Request &R : Batch)
@@ -379,47 +297,11 @@ void Server::workerLane(int Lane) {
     if (Batch.empty())
       continue;
 
-    if (!Watched) {
-      // Fault site "serve.worker": an armed Delay stalls this lane
-      // between pop and dispatch — the window in which deadlines lapse
-      // and other lanes must pick up the slack.
-      (void)DAISY_FAILPOINT("serve.worker");
-      dispatchBatch(Batch, Lease);
-      continue;
-    }
-
-    // Watchdog protocol. Publish the popped batch as this lane's claim:
-    // from here until the reclaim below, a watchdog that finds the claim
-    // older than StallTimeout takes the batch away and requeues it.
-    {
-      std::lock_guard<std::mutex> Lock(Slot->M);
-      Slot->Claimed = std::move(Batch);
-      Slot->ClaimedAt = serveNow();
-      Slot->Epoch.fetch_add(1, std::memory_order_relaxed);
-    }
-    // The fault site sits inside the claim window, so an armed Delay
-    // stalls this lane exactly where the watchdog polices.
+    // Fault site "serve.worker": an armed Delay stalls this lane between
+    // pop and dispatch — the window in which deadlines lapse and other
+    // lanes must pick up the slack.
     (void)DAISY_FAILPOINT("serve.worker");
-    {
-      std::lock_guard<std::mutex> Lock(Slot->M);
-      if (Slot->Claimed.empty()) {
-        // The watchdog reclaimed the batch: it is not ours anymore.
-        Batch.clear();
-        continue;
-      }
-      Batch = std::move(Slot->Claimed);
-      Slot->Claimed.clear();
-      Slot->Dispatching = true;
-      Slot->DispatchStart = serveNow();
-      Slot->DispatchStallCounted = false;
-      Slot->Epoch.fetch_add(1, std::memory_order_relaxed);
-    }
     dispatchBatch(Batch, Lease);
-    {
-      std::lock_guard<std::mutex> Lock(Slot->M);
-      Slot->Dispatching = false;
-      Slot->Epoch.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 }
 
@@ -498,68 +380,6 @@ void Server::dispatchBatch(std::vector<Request> &Batch,
   finishMany(B);
 }
 
-void Server::watchdogLoop() {
-  const std::chrono::microseconds Timeout = Opts.StallTimeout;
-  // Poll at half the timeout (bounded to [100µs, 10ms]): stalls are
-  // detected within ~1.5x the configured timeout without the poll itself
-  // becoming a busy loop.
-  std::chrono::microseconds Poll = Timeout / 2;
-  Poll = std::min(Poll, std::chrono::microseconds(10000));
-  Poll = std::max(Poll, std::chrono::microseconds(100));
-  std::vector<Request> Reclaimed;
-  while (!WatchdogStop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(Poll);
-    TimePoint Now = serveNow();
-    for (auto &SlotPtr : Lanes) {
-      LaneState &Slot = *SlotPtr;
-      Reclaimed.clear();
-      {
-        std::lock_guard<std::mutex> Lock(Slot.M);
-        if (!Slot.Claimed.empty() && !Slot.Dispatching &&
-            Now - Slot.ClaimedAt >= Timeout) {
-          Reclaimed = std::move(Slot.Claimed);
-          Slot.Claimed.clear();
-          Slot.Epoch.fetch_add(1, std::memory_order_relaxed);
-        } else if (Slot.Dispatching && !Slot.DispatchStallCounted &&
-                   Now - Slot.DispatchStart >= Timeout) {
-          // A lane stalled inside a kernel cannot be reclaimed safely —
-          // the kernel owns the arguments right now. Count it so
-          // operators see it; the batch completes when the kernel does.
-          Slot.DispatchStallCounted = true;
-          CDispatchStalls.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (Reclaimed.empty())
-        continue;
-      CStalls.fetch_add(1, std::memory_order_relaxed);
-      // Drain-safe requeue: re-admit each request so a healthy lane
-      // serves it; a request that cannot be re-admitted (queue closed,
-      // deadline lapsed) has its future completed right here — reclaimed
-      // work is never leaked.
-      uint64_t FailedNow = 0;
-      for (Request &R : Reclaimed) {
-        Scheduler &Queue = *Queues[queueShardFor(R.Args)];
-        Scheduler::PushResult P = Queue.requeue(R);
-        if (P == Scheduler::PushResult::Ok)
-          continue;
-        TenantCounters &Tenant = tenantCounters(R.Tenant);
-        if (P == Scheduler::PushResult::Expired) {
-          R.Done.set_value(RunStatus::expired());
-          CExpired.fetch_add(1, std::memory_order_relaxed);
-          Tenant.Expired.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          R.Done.set_value(RunStatus::shutDown());
-          CRejected.fetch_add(1, std::memory_order_relaxed);
-          Tenant.Rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++FailedNow;
-      }
-      if (FailedNow)
-        finishMany(FailedNow);
-    }
-  }
-}
-
 void Server::finishMany(uint64_t N) {
   {
     std::lock_guard<std::mutex> Lock(DrainMutex);
@@ -613,17 +433,11 @@ bool Server::brownoutGate() {
 
 HealthSnapshot Server::health() {
   HealthSnapshot H;
-  H.QueueDepths.reserve(Queues.size());
-  for (const auto &Q : Queues)
-    H.QueueDepths.push_back(Q->depth());
-  for (size_t D : H.QueueDepths)
-    H.QueueDepth += D;
+  H.QueueDepth = queueDepth();
   H.QueueCapacity = std::max<size_t>(Opts.QueueCapacity, 1);
   H.Brownout = brownoutGate();
   H.Brownouts = CBrownouts.load(std::memory_order_relaxed);
   H.BrownoutSheds = CBrownoutSheds.load(std::memory_order_relaxed);
-  H.WorkerStalls = CStalls.load(std::memory_order_relaxed);
-  H.DispatchStalls = CDispatchStalls.load(std::memory_order_relaxed);
   H.Shards.reserve(Shards.size());
   for (const auto &Shard : Shards) {
     HealthSnapshot::ShardRow Row;

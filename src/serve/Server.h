@@ -16,21 +16,18 @@
 ///   each shard's plan cache and transfer-tuning database see a stable
 ///   partition of the kernel population instead of contending on one
 ///   global instance;
-/// - one or more pluggable, bounded queue shards (serve/Scheduler.h)
-///   chosen by ServerOptions::Scheduling — FIFO (the default), priority
-///   lanes, earliest-deadline-first, or deficit-weighted FairShare over
+/// - one pluggable, bounded request queue (serve/Scheduler.h) chosen by
+///   ServerOptions::Scheduling — FIFO (the default), priority lanes,
+///   earliest-deadline-first, or deficit-weighted FairShare over
 ///   tenants — with an explicit backpressure policy and optional
 ///   per-tenant admission quotas, so overload is a decision, not an
 ///   accident, and one tenant's overload is *its own*;
 /// - a worker pool (one dedicated exec/ThreadPool instance driven by a
-///   dispatcher thread) that drains requests into pooled per-kernel
-///   ExecContexts; per-kernel micro-batching coalesces same-kernel
-///   requests into one dispatch, amortizing the queue round-trip and
-///   keeping one warm context stretch per batch. With QueueShards > 1
-///   each worker drains a home shard and steals batches from hot
-///   siblings when its home runs empty; with a StallTimeout set, a
-///   watchdog thread reclaims batches from stalled lanes and requeues
-///   them so healthy lanes complete the work.
+///   dispatcher thread) whose lanes all drain that one queue through
+///   its blocking popBatch into pooled per-kernel ExecContexts;
+///   per-kernel micro-batching coalesces same-kernel requests into one
+///   dispatch, amortizing the queue round-trip and keeping one warm
+///   context stretch per batch.
 ///
 /// Server::submit(kernel, boundArgs, submitOptions) returns a
 /// std::future<RunStatus>. SubmitOptions adds the robustness surface:
@@ -54,8 +51,7 @@
 ///
 /// Counters (support/Statistics): Serve.Submitted, Serve.Completed,
 /// Serve.Rejected, Serve.Expired, Serve.SubmitRetries, Serve.BatchedRuns,
-/// Serve.QueueDepthMax, Serve.StolenBatches, Serve.WorkerStalls,
-/// Serve.DispatchStalls — plus the same four outcome counters per tenant
+/// Serve.QueueDepthMax — plus the same four outcome counters per tenant
 /// as Serve.Tenant<id>.{Submitted,Completed,Rejected,Expired}. Invariant
 /// after drain(), globally and per tenant:
 /// Submitted == Completed + Rejected + Expired.
@@ -124,28 +120,12 @@ struct ServerOptions {
   /// Largest same-kernel micro-batch one worker dispatch coalesces;
   /// 1 disables micro-batching.
   size_t MaxBatch = 16;
-  /// Independent queue shards (1 = the single shared queue, the classic
-  /// configuration). Requests route to a shard by kernel identity, so
-  /// same-kernel micro-batching stays intact; QueueCapacity (and any
-  /// TenantQuota) is split evenly across shards. Each worker lane drains
-  /// a home shard and, when it runs empty, steals whole batches from hot
-  /// siblings ("Serve.StolenBatches") — a skewed kernel population keeps
-  /// every lane busy instead of parking lanes behind cold shards.
-  size_t QueueShards = 1;
   /// Per-tenant admission quota (0 = off): the most queued requests one
-  /// tenant (SubmitOptions::Tenant) may hold per queue shard. A tenant
-  /// at quota is treated like a full queue — Reject fails it with
-  /// Overloaded, Block waits — even while other tenants still have
-  /// headroom, so a flooding tenant sheds its *own* traffic.
+  /// tenant (SubmitOptions::Tenant) may hold. A tenant at quota is
+  /// treated like a full queue — Reject fails it with Overloaded, Block
+  /// waits — even while other tenants still have headroom, so a flooding
+  /// tenant sheds its *own* traffic.
   size_t TenantQuota = 0;
-  /// Worker watchdog (0 = off): a lane that holds a popped batch this
-  /// long without starting dispatch is declared stalled; the watchdog
-  /// reclaims the batch ("Serve.WorkerStalls") and requeues it so
-  /// healthy lanes complete it (drain-safe: a request the requeue cannot
-  /// re-admit has its future completed as Expired/ShutDown, never
-  /// leaked). A lane stalled *inside* a kernel dispatch cannot be
-  /// reclaimed safely and is only counted ("Serve.DispatchStalls").
-  std::chrono::microseconds StallTimeout{0};
   /// Admission brownout (0 disables): when the total queued depth
   /// reaches ceil(BrownoutHighWater * QueueCapacity), the server enters
   /// brownout — Low-priority submits are shed at admission with
@@ -190,22 +170,19 @@ struct HealthSnapshot {
     int64_t TuneSwaps = 0;        ///< Promoted (measured-gain) hot-swaps.
     int64_t TuneRollbacks = 0;    ///< Probes reverted on regression.
   };
-  std::vector<size_t> QueueDepths; ///< Per queue shard, at snapshot time.
-  size_t QueueDepth = 0;           ///< Sum of QueueDepths.
-  size_t QueueCapacity = 0;        ///< Total configured capacity.
+  size_t QueueDepth = 0;           ///< Queued requests at snapshot time.
+  size_t QueueCapacity = 0;        ///< Configured capacity.
   bool Brownout = false;           ///< Admission currently shedding Low.
   int64_t Brownouts = 0;           ///< Distress episodes entered so far.
   int64_t BrownoutSheds = 0;       ///< Low requests shed at admission.
-  int64_t WorkerStalls = 0;        ///< Batches reclaimed by the watchdog.
-  int64_t DispatchStalls = 0;      ///< Stalls inside kernel dispatch.
   size_t Quarantined = 0;          ///< Sum of ShardRow::Quarantined.
   double P50Us = 0.0, P99Us = 0.0; ///< Rolling sojourn-time quantiles.
   int64_t Submitted = 0, Completed = 0, Rejected = 0, Expired = 0;
   std::vector<ShardRow> Shards;
   std::vector<TenantRow> Tenants; ///< Every tenant seen so far.
   /// The overall verdict: admission is not shedding and no kernel is
-  /// quarantined. Stalls and budget pressure inform but do not fail the
-  /// verdict — the server is still meeting its contract through them.
+  /// quarantined. Budget pressure informs but does not fail the
+  /// verdict — the server is still meeting its contract through it.
   bool healthy() const { return !Brownout && Quarantined == 0; }
 };
 
@@ -280,32 +257,18 @@ public:
   /// The server keeps serving afterwards.
   void drain();
 
-  /// A structured health snapshot: queue depths per shard, brownout and
-  /// quarantine state, stall and budget telemetry, rolling latency
-  /// quantiles, and per-tenant outcome counters. Also re-evaluates the
-  /// brownout gate, so a server whose queues drained while no submits
-  /// arrived leaves brownout on the next health() call.
+  /// A structured health snapshot: queue depth, brownout and quarantine
+  /// state, budget telemetry, rolling latency quantiles, and per-tenant
+  /// outcome counters. Also re-evaluates the brownout gate, so a server
+  /// whose queue drained while no submits arrived leaves brownout on the
+  /// next health() call.
   HealthSnapshot health();
 
-  /// Requests admitted but not yet picked up by a worker (summed over
-  /// queue shards).
-  size_t queueDepth() const {
-    size_t Depth = 0;
-    for (const auto &Q : Queues)
-      Depth += Q->depth();
-    return Depth;
-  }
+  /// Requests admitted but not yet picked up by a worker.
+  size_t queueDepth() const { return Queue->depth(); }
 
-  /// High-water mark of the queue depth since construction. With
-  /// QueueShards > 1 this sums the per-shard high-water marks — an upper
-  /// bound on the instantaneous total, exact for the default single
-  /// shard.
-  size_t queueDepthMax() const {
-    size_t Max = 0;
-    for (const auto &Q : Queues)
-      Max += Q->maxDepthSeen();
-    return Max;
-  }
+  /// High-water mark of the queue depth since construction.
+  size_t queueDepthMax() const { return Queue->maxDepthSeen(); }
 
   /// Log2-bucketed histogram of the queue depth sampled after every
   /// admitted request: bucket B counts samples with depth in
@@ -368,29 +331,11 @@ private:
     std::atomic<int64_t> &Submitted, &Completed, &Rejected, &Expired;
   };
 
-  /// One worker lane's claimed-batch slot, the watchdog's view of the
-  /// lane. The lane publishes a popped batch here before the pop→
-  /// dispatch window, reclaims it to dispatch, and marks the dispatch
-  /// span; Epoch is the heartbeat — it advances at every publish,
-  /// reclaim, and dispatch boundary, so a lane whose epoch stands still
-  /// past StallTimeout is stalled.
-  struct LaneState {
-    std::mutex M;
-    std::vector<Request> Claimed; ///< Non-empty: popped, not dispatching.
-    TimePoint ClaimedAt{};
-    std::atomic<uint64_t> Epoch{0};
-    bool Dispatching = false;
-    TimePoint DispatchStart{};
-    bool DispatchStallCounted = false;
-  };
-
-  void workerLane(int Lane);
-  void watchdogLoop();
+  void workerLane();
   void dispatchBatch(std::vector<Request> &Batch, RunContextLease &Lease);
   void finishMany(uint64_t N);
   void recordLatency(TimePoint EnqueuedAt, TimePoint Now);
   TenantCounters &tenantCounters(uint32_t Tenant);
-  size_t queueShardFor(const BoundArgs &Args) const;
 
   /// Evaluates (and updates) the brownout gate against the current queue
   /// depth; returns whether admission is currently shedding Low work.
@@ -398,14 +343,14 @@ private:
 
   ServerOptions Opts;
   std::vector<std::unique_ptr<Engine>> Shards;
-  std::vector<std::unique_ptr<Scheduler>> Queues;
+  std::unique_ptr<Scheduler> Queue;
 
   /// Pre-resolved Serve.* counter cells (support/Statistics): the hot
   /// path increments relaxed atomics instead of paying a name lookup
   /// under the registry mutex per request.
   std::atomic<int64_t> &CSubmitted, &CCompleted, &CRejected, &CExpired,
-      &CRetries, &CBatchedRuns, &CDepthMax, &CStolen, &CStalls,
-      &CDispatchStalls, &CBrownouts, &CBrownoutSheds, &CAffinityHits;
+      &CRetries, &CBatchedRuns, &CDepthMax, &CBrownouts, &CBrownoutSheds,
+      &CAffinityHits;
 
   /// Brownout watermarks resolved to absolute depths at construction
   /// (0 = brownout disabled), and the gate's sticky state.
@@ -450,17 +395,11 @@ private:
   std::atomic<uint64_t> Admitted{0};
   uint64_t Finished = 0;
 
-  /// Per-lane claimed-batch slots the watchdog polls; sized to the
-  /// worker count at construction, never resized after.
-  std::vector<std::unique_ptr<LaneState>> Lanes;
-  std::atomic<bool> WatchdogStop{false};
-
-  /// The worker pool, the dispatcher thread whose ThreadPool::run call
-  /// turns the pool's lanes into queue drainers, and the watchdog. Last
-  /// members, so they stop before anything they use is destroyed.
+  /// The worker pool and the dispatcher thread whose ThreadPool::run
+  /// call turns the pool's lanes into queue drainers. Last members, so
+  /// they stop before anything they use is destroyed.
   std::unique_ptr<ThreadPool> Pool;
   std::thread Dispatcher;
-  std::thread Watchdog;
 };
 
 } // namespace serve

@@ -6,8 +6,6 @@
 
 #include "support/FailPoint.h"
 
-#if DAISY_ENABLE_FAILPOINTS
-
 #include "support/Hashing.h"
 #include "support/Random.h"
 
@@ -205,5 +203,3 @@ const EnvScenario ArmFromEnv;
 } // namespace
 
 } // namespace daisy
-
-#endif // DAISY_ENABLE_FAILPOINTS

@@ -32,13 +32,11 @@
 /// DAISY_FAILPOINTS_SEED. CI uses this to drive sites the test binary
 /// does not arm itself.
 ///
-/// The whole mechanism is compiled out unless DAISY_ENABLE_FAILPOINTS is
-/// 1 — which it is by default in assert-enabled (Debug) builds and never
-/// in NDEBUG builds unless forced on the compiler command line (the TSan
-/// CI job does exactly that). With the gate off, DAISY_FAILPOINT expands
-/// to the constant false: zero code, zero overhead on release hot paths.
-/// When compiled in but with nothing armed, a site costs one relaxed
-/// atomic load.
+/// Fail points are compiled into every build, so the tests that arm them
+/// run in Release too. An unarmed site costs an out-of-line call to
+/// failPointEvaluate and one relaxed atomic load while no site in the
+/// process is armed; only while some site is armed does an evaluation
+/// also take the registry lock and look its name up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,14 +45,6 @@
 
 #include <cstdint>
 #include <string>
-
-#ifndef DAISY_ENABLE_FAILPOINTS
-#ifdef NDEBUG
-#define DAISY_ENABLE_FAILPOINTS 0
-#else
-#define DAISY_ENABLE_FAILPOINTS 1
-#endif
-#endif
 
 namespace daisy {
 
@@ -75,8 +65,6 @@ struct FailPointConfig {
   /// Sleep duration of FailAction::Delay fires.
   uint64_t DelayMicros = 0;
 };
-
-#if DAISY_ENABLE_FAILPOINTS
 
 /// Arms \p Site with \p Config. The site's probability stream is seeded
 /// from (\p Seed, fnv1a(\p Site)), so two sites armed under one scenario
@@ -115,24 +103,6 @@ size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed);
 size_t armFailPointsFromEnv(const char *Spec, const char *SeedText);
 
 #define DAISY_FAILPOINT(Site) ::daisy::failPointEvaluate(Site)
-
-#else
-
-// Release stubs: sites compile to the constant false (dead-branch
-// eliminated); the arming API stays callable so test helpers link.
-inline void armFailPoint(const std::string &, const FailPointConfig &,
-                         uint64_t) {}
-inline void disarmFailPoint(const std::string &) {}
-inline void disarmAllFailPoints() {}
-inline uint64_t failPointFireCount(const std::string &) { return 0; }
-inline size_t armFailPointsFromSpec(const std::string &, uint64_t) {
-  return 0;
-}
-inline size_t armFailPointsFromEnv(const char *, const char *) { return 0; }
-
-#define DAISY_FAILPOINT(Site) false
-
-#endif // DAISY_ENABLE_FAILPOINTS
 
 } // namespace daisy
 

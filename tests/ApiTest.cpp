@@ -606,8 +606,6 @@ TEST(EngineBudgetTest, PooledContextsAreDroppedNotRetainedUnderPressure) {
   EXPECT_EQ(DataEnv::maxAbsDifference(Ref, Env, Prog), 0.0);
 }
 
-#if DAISY_ENABLE_FAILPOINTS
-
 TEST(EngineBudgetTest, ArmedBudgetFailPointForcesTheExhaustionPath) {
   // The "engine.budget" site makes charge failure deterministic even with
   // an ample budget — the fault-matrix hook CI arms.
@@ -630,10 +628,6 @@ TEST(EngineBudgetTest, ArmedBudgetFailPointForcesTheExhaustionPath) {
   Kernel Healed = Eng.compile(makeGemm("i", "j", "k", 8));
   EXPECT_FALSE(Healed.isExhausted());
 }
-
-#endif // DAISY_ENABLE_FAILPOINTS
-
-#if DAISY_ENABLE_FAILPOINTS
 
 TEST(EngineFallbackTest, CompileFailureDegradesToTreeWalkAndSelfHeals) {
   resetStatsCounters();
@@ -681,5 +675,3 @@ TEST(EngineFallbackTest, FallbackOffPropagatesTheCompileError) {
                std::runtime_error);
   disarmFailPoint("engine.compile");
 }
-
-#endif // DAISY_ENABLE_FAILPOINTS

@@ -28,11 +28,6 @@
 // - tenant quotas: a tenant at quota sheds its own overflow while other
 //   tenants keep their headroom, and the per-tenant counters hold
 //   Submitted == Completed + Rejected + Expired after drain;
-// - work stealing: with QueueShards > 1 a lane whose home shard is cold
-//   steals batches from hot siblings (Serve.StolenBatches) with
-//   bit-identical results;
-// - watchdog: a lane stalled inside a kernel dispatch is counted
-//   (Serve.DispatchStalls), never reclaimed mid-run;
 // - deadlines: expired work is shed at admission or pop, never runs, and
 //   drain() still completes every future;
 // - retries: transient Overloaded rejections are absorbed by
@@ -756,68 +751,6 @@ TEST(SchedulerPolicyTest, TenantQuotaConfinesOverflowToItsOwner) {
   EXPECT_EQ(pushTenant(*Sched, 7), serve::Scheduler::PushResult::Overloaded);
 }
 
-TEST(SchedulerPolicyTest, RequeueReadmitsAndFailsSafeWhenClosedOrExpired) {
-  auto Sched = serve::Scheduler::create(SchedulerPolicy::Fifo, 4,
-                                        BackpressurePolicy::Reject);
-  Request R;
-  ASSERT_EQ(Sched->push(R), serve::Scheduler::PushResult::Ok);
-  std::vector<Request> Batch, Expired;
-  ASSERT_TRUE(Sched->popBatch(Batch, Expired, 1));
-  ASSERT_EQ(Batch.size(), 1u);
-  EXPECT_EQ(Batch.front().Seq, 0u);
-
-  // Re-admission gets a fresh Seq and is poppable again.
-  ASSERT_EQ(Sched->requeue(Batch.front()), serve::Scheduler::PushResult::Ok);
-  EXPECT_EQ(Sched->depth(), 1u);
-  ASSERT_TRUE(Sched->popBatch(Batch, Expired, 1));
-  ASSERT_EQ(Batch.size(), 1u);
-  EXPECT_EQ(Batch.front().Seq, 1u);
-
-  // A lapsed deadline fails the requeue with Expired, handing the
-  // request back so the caller can complete its future.
-  Request Late;
-  Late.Deadline = serveNow() - std::chrono::milliseconds(1);
-  EXPECT_EQ(Sched->requeue(Late), serve::Scheduler::PushResult::Expired);
-  EXPECT_EQ(Sched->depth(), 0u);
-
-  // After close() the poppers may be gone: requeue must refuse.
-  Sched->close();
-  Request Stranded;
-  EXPECT_EQ(Sched->requeue(Stranded), serve::Scheduler::PushResult::ShutDown);
-  EXPECT_EQ(Sched->depth(), 0u);
-}
-
-TEST(SchedulerPolicyTest, TryPopAndBoundedPopReportEmptyAndClosed) {
-  auto Sched = serve::Scheduler::create(SchedulerPolicy::Fifo, 4,
-                                        BackpressurePolicy::Reject);
-  std::vector<Request> Batch, Expired;
-  EXPECT_EQ(Sched->tryPopBatch(Batch, Expired, 4),
-            serve::Scheduler::PopResult::Empty);
-  EXPECT_EQ(Sched->popBatchFor(Batch, Expired, 4,
-                               std::chrono::microseconds(500)),
-            serve::Scheduler::PopResult::Empty);
-
-  Request R;
-  ASSERT_EQ(Sched->push(R), serve::Scheduler::PushResult::Ok);
-  EXPECT_EQ(Sched->tryPopBatch(Batch, Expired, 4),
-            serve::Scheduler::PopResult::Got);
-  EXPECT_EQ(Batch.size(), 1u);
-
-  Request R2;
-  ASSERT_EQ(Sched->push(R2), serve::Scheduler::PushResult::Ok);
-  EXPECT_EQ(Sched->popBatchFor(Batch, Expired, 4,
-                               std::chrono::microseconds(500)),
-            serve::Scheduler::PopResult::Got);
-  EXPECT_EQ(Batch.size(), 1u);
-
-  Sched->close();
-  EXPECT_EQ(Sched->tryPopBatch(Batch, Expired, 4),
-            serve::Scheduler::PopResult::Closed);
-  EXPECT_EQ(Sched->popBatchFor(Batch, Expired, 4,
-                               std::chrono::microseconds(500)),
-            serve::Scheduler::PopResult::Closed);
-}
-
 TEST(SchedulerPolicyTest, ExpiredWorkShedsAtAdmissionAndAtPop) {
   for (SchedulerPolicy Policy :
        {SchedulerPolicy::Fifo, SchedulerPolicy::PriorityLane,
@@ -1186,69 +1119,6 @@ TEST(ServeTenantTest, QuotaMakesTheFloodingTenantShedItsOwnOverflow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-shard work stealing
-//===----------------------------------------------------------------------===//
-
-TEST(ServeStealingTest, IdleLaneStealsFromTheHotShardBitIdentically) {
-  resetStatsCounters();
-  ServerOptions Options;
-  Options.Workers = 2;
-  Options.QueueShards = 2;
-  Options.QueueCapacity = 64;
-  Options.MaxBatch = 1;
-  Server S(Options);
-
-  // One kernel: every request routes to one queue shard, so the lane
-  // homed on the other shard can only make progress by stealing.
-  Program Mid = makeGemm("i", "j", "k", 64);
-  Kernel K = S.compile(Mid);
-  OwnedArgs Expected(Mid, 5);
-  ASSERT_TRUE(Kernel::compile(Mid).run(Expected.binding()));
-
-  std::vector<std::unique_ptr<OwnedArgs>> Owned;
-  std::vector<std::future<RunStatus>> Futures;
-  for (int I = 0; I < 24; ++I) {
-    Owned.push_back(std::make_unique<OwnedArgs>(Mid, 5));
-    Futures.push_back(S.submit(K, K.bind(Owned.back()->binding())));
-  }
-  S.drain();
-  for (int I = 0; I < 24; ++I) {
-    EXPECT_TRUE(Futures[I].get().ok());
-    EXPECT_EQ(Owned[I]->Buffers, Expected.Buffers);
-  }
-  EXPECT_GE(statsCounter("Serve.StolenBatches"), 1);
-  EXPECT_EQ(statsCounter("Serve.Submitted"),
-            statsCounter("Serve.Completed") + statsCounter("Serve.Rejected") +
-                statsCounter("Serve.Expired"));
-}
-
-//===----------------------------------------------------------------------===//
-// Worker watchdog: dispatch-phase stalls are observed, not reclaimed
-//===----------------------------------------------------------------------===//
-
-TEST(ServeWatchdogTest, DispatchStallIsCountedAndTheKernelStillCompletes) {
-  resetStatsCounters();
-  ServerOptions Options;
-  Options.Workers = 1;
-  Options.MaxBatch = 1;
-  Options.StallTimeout = std::chrono::milliseconds(1);
-  Server S(Options);
-
-  // The plug kernel dispatches for several milliseconds — far past the
-  // 1ms stall timeout. The watchdog must count the stall but never
-  // reclaim a batch that is executing.
-  Kernel Plug = makePlugKernel();
-  OwnedArgs PlugArgs(Plug.program());
-  std::future<RunStatus> PlugDone =
-      S.submit(Plug, Plug.bind(PlugArgs.binding()));
-  S.drain();
-  EXPECT_TRUE(PlugDone.get().ok());
-  EXPECT_GE(statsCounter("Serve.DispatchStalls"), 1);
-  EXPECT_EQ(statsCounter("Serve.WorkerStalls"), 0);
-  EXPECT_EQ(statsCounter("Serve.Submitted"), statsCounter("Serve.Completed"));
-}
-
-//===----------------------------------------------------------------------===//
 // Health-driven brownout: admission sheds Low priority under distress
 //===----------------------------------------------------------------------===//
 
@@ -1379,7 +1249,6 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersShardsAndTenants) {
   ServerOptions Options;
   Options.Workers = 2;
   Options.Shards = 2;
-  Options.QueueShards = 2;
   Options.QueueCapacity = 32;
   Options.Engine.MemoryBudgetBytes = 64ull << 20;
   Server S(Options);
@@ -1388,7 +1257,6 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersShardsAndTenants) {
   HealthSnapshot Fresh = S.health();
   EXPECT_TRUE(Fresh.healthy());
   EXPECT_EQ(Fresh.QueueDepth, 0u);
-  EXPECT_EQ(Fresh.QueueDepths.size(), 2u);
   EXPECT_EQ(Fresh.QueueCapacity, 32u);
   EXPECT_EQ(Fresh.Shards.size(), 2u);
   EXPECT_EQ(Fresh.Submitted, 0);

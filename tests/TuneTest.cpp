@@ -409,8 +409,6 @@ TEST(TunerCycleTest, DisabledTuningAttachesNothing) {
   EXPECT_TRUE(K.run(Args.binding()));
 }
 
-#if DAISY_ENABLE_FAILPOINTS
-
 TEST(TunerRollbackTest, ForcedRegressionRollsBackAndCoolsDown) {
   // Real gate (0%): the probe must not regress. The "tune.promote" fail
   // point forces the decision to see one, driving rollback
@@ -465,8 +463,6 @@ TEST(TunerRollbackTest, ForcedRegressionRollsBackAndCoolsDown) {
   EXPECT_EQ(S.Probes, 1); // Still just the original probe.
   EXPECT_EQ(S.ProbesInFlight, 0u);
 }
-
-#endif // DAISY_ENABLE_FAILPOINTS
 
 //===----------------------------------------------------------------------===//
 // Calibration persistence
