@@ -15,7 +15,12 @@
 // the numbers include the per-run context-pool handoff real callers pay
 // (and benefit from: run scratch is reused, not reallocated). Two extra
 // columns track the compile-once economics: cold compile cost and the
-// cached-compile cost of an Engine plan-cache hit.
+// cached-compile cost of an Engine plan-cache hit. Each row also records
+// how the plans executed it: specialized kernels and block-evaluated
+// inner loops of the plan+spec plan, parallel loops of the plan+par plan.
+// CLOUDSC erosion runs twice: as the fused source body (whose 0-d scalars
+// keep it on per-iteration tape evaluation) and a priori normalized
+// (fissioned and scalar-expanded, so its inner loops run per block).
 //
 // Usage: micro_interp [--no-gate] [--threads N] [output.json]
 // Prints a table and writes elements/sec for every engine to
@@ -33,6 +38,7 @@
 #include "exec/Interpreter.h"
 #include "exec/ThreadPool.h"
 #include "frontends/PolyBench.h"
+#include "normalize/Pipeline.h"
 #include "support/Statistics.h"
 #include "transform/Parallelize.h"
 
@@ -128,6 +134,9 @@ struct Row {
   double Par = 0.0;      ///< parallel-marked plan + kernels, N threads
   double ColdCompile = 0.0;   ///< seconds, Kernel::compile from scratch
   double CachedCompile = 0.0; ///< seconds, Engine::compile plan-cache hit
+  size_t SpecializedKernels = 0; ///< of the plan+spec plan
+  size_t BlockedLoops = 0;       ///< of the plan+spec plan
+  size_t ParallelLoops = 0;      ///< of the plan+par plan
   double planSpeedup() const {
     return TreeWalk > 0.0 ? Plan / TreeWalk : 0.0;
   }
@@ -159,7 +168,11 @@ Row benchProgram(Engine &Eng, const std::string &Name, const Program &Prog,
 
   PlanOptions SpecOpts;
   SpecOpts.NumThreads = 1;
-  Result.Spec = elemsPerSec(Result.Elements, Eng.compile(Prog, SpecOpts));
+  Kernel Spec = Eng.compile(Prog, SpecOpts);
+  Result.Spec = elemsPerSec(Result.Elements, Spec);
+  ExecPlan::Stats SpecStats = Spec.plan().stats();
+  Result.SpecializedKernels = SpecStats.SpecializedKernels;
+  Result.BlockedLoops = SpecStats.BlockedLoops;
 
   // Compile-once economics: a cold compile lowers the whole program; a
   // warm Engine::compile is a hash + handle copy. The warm path was
@@ -176,7 +189,9 @@ Row benchProgram(Engine &Eng, const std::string &Name, const Program &Prog,
     parallelizeOutermost(Node, Marked.params(), &Marked);
   PlanOptions ParOpts;
   ParOpts.NumThreads = Threads;
-  Result.Par = elemsPerSec(Result.Elements, Eng.compile(Marked, ParOpts));
+  Kernel Par = Eng.compile(Marked, ParOpts);
+  Result.Par = elemsPerSec(Result.Elements, Par);
+  Result.ParallelLoops = Par.plan().stats().ParallelLoops;
   return Result;
 }
 
@@ -217,20 +232,24 @@ int main(int Argc, char **Argv) {
   Config.Nblocks = 1;
   Rows.push_back(benchProgram(Eng, "cloudsc_erosion",
                               buildErosionKernel(Config), Threads));
+  Rows.push_back(benchProgram(Eng, "cloudsc_erosion_normalized",
+                              normalize(buildErosionKernel(Config)), Threads));
 
   std::printf("engines: el/s as tree-walk / plan / plan+spec / "
-              "plan+par(%d threads); compile cost cold vs plan-cache hit\n",
+              "plan+par(%d threads); compile cost cold vs plan-cache hit; "
+              "specialized/blocked/parallel loops\n",
               Threads);
-  std::printf("%-16s %10s %12s %12s %12s %12s %8s %10s %10s\n", "kernel",
-              "elements", "tree-walk", "plan", "plan+spec", "plan+par",
-              "plan-x", "compile", "cached");
+  std::printf("%-26s %10s %12s %12s %12s %12s %8s %10s %10s %8s\n",
+              "kernel", "elements", "tree-walk", "plan", "plan+spec",
+              "plan+par", "plan-x", "compile", "cached", "spc/blk/par");
   bool GemmFastEnough = false;
   for (const Row &R : Rows) {
-    std::printf("%-16s %10lld %12.3e %12.3e %12.3e %12.3e %7.2fx %8.1fus "
-                "%8.3fus\n",
+    std::printf("%-26s %10lld %12.3e %12.3e %12.3e %12.3e %7.2fx %8.1fus "
+                "%8.3fus %3zu/%zu/%zu\n",
                 R.Name.c_str(), static_cast<long long>(R.Elements),
                 R.TreeWalk, R.Plan, R.Spec, R.Par, R.planSpeedup(),
-                R.ColdCompile * 1e6, R.CachedCompile * 1e6);
+                R.ColdCompile * 1e6, R.CachedCompile * 1e6,
+                R.SpecializedKernels, R.BlockedLoops, R.ParallelLoops);
     if (R.Name == "gemm")
       GemmFastEnough = R.planSpeedup() >= 10.0;
   }
@@ -261,10 +280,14 @@ int main(int Argc, char **Argv) {
                    "\"parallel_elems_per_sec\": %.6e, "
                    "\"speedup\": %.3f, "
                    "\"compile_seconds\": %.6e, "
-                   "\"cached_compile_seconds\": %.6e}%s\n",
+                   "\"cached_compile_seconds\": %.6e, "
+                   "\"specialized_kernels\": %zu, "
+                   "\"blocked_loops\": %zu, "
+                   "\"parallel_loops\": %zu}%s\n",
                    R.Name.c_str(), static_cast<long long>(R.Elements),
                    R.TreeWalk, R.Plan, R.Spec, R.Par, R.planSpeedup(),
-                   R.ColdCompile, R.CachedCompile,
+                   R.ColdCompile, R.CachedCompile, R.SpecializedKernels,
+                   R.BlockedLoops, R.ParallelLoops,
                    I + 1 < Rows.size() ? "," : "");
     }
     std::fprintf(Json, "  ]\n}\n");

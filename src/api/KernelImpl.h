@@ -31,6 +31,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -412,11 +413,12 @@ inline size_t boundElementCount(const ArrayDecl &Decl) {
 /// Resolves \p Args against \p Prog's array declarations into a full slot
 /// table: every binding must name a declared, non-transient array with its
 /// exact element count, every non-transient array must end up bound
-/// exactly once, and transient slots are left null (kernel-managed
-/// scratch, filled per run). Returns an empty string on success, the
-/// diagnostic otherwise (\p Slots is then unspecified). This is the one
-/// place binding names are string-compared: Kernel::run(ArgBinding) pays
-/// it per run, Kernel::bind exactly once per BoundArgs.
+/// exactly once to storage no other array's binding overlaps, and
+/// transient slots are left null (kernel-managed scratch, filled per
+/// run). Returns an empty string on success, the diagnostic otherwise
+/// (\p Slots is then unspecified). This is the one place binding names
+/// are string-compared: Kernel::run(ArgBinding) pays it per run,
+/// Kernel::bind exactly once per BoundArgs.
 inline std::string resolveBinding(const Program &Prog, const ArgBinding &Args,
                                   std::vector<BufferRef> &Slots) {
   const std::vector<ArrayDecl> &Arrays = Prog.arrays();
@@ -450,6 +452,25 @@ inline std::string resolveBinding(const Program &Prog, const ArgBinding &Args,
   for (size_t S = 0; S < Arrays.size(); ++S)
     if (!Arrays[S].Transient && !Bound[S])
       return "array '" + Arrays[S].Name + "' is not bound";
+  // Every engine treats distinct arrays as distinct storage (DataEnv and
+  // the tree-walk staging give each its own buffer; the plan orders
+  // accesses per array), so overlapping bindings would make the result
+  // depend on the engine. Sorted by start, any overlap shows between
+  // neighbours.
+  std::vector<size_t> ByStart;
+  for (size_t S = 0; S < Slots.size(); ++S)
+    if (Slots[S].Data)
+      ByStart.push_back(S);
+  std::less<const double *> Before;
+  std::sort(ByStart.begin(), ByStart.end(), [&](size_t X, size_t Y) {
+    return Before(Slots[X].Data, Slots[Y].Data);
+  });
+  for (size_t K = 1; K < ByStart.size(); ++K) {
+    const BufferRef &Prev = Slots[ByStart[K - 1]];
+    if (Before(Slots[ByStart[K]].Data, Prev.Data + Prev.Size))
+      return "arrays '" + Arrays[ByStart[K - 1]].Name + "' and '" +
+             Arrays[ByStart[K]].Name + "' are bound to overlapping storage";
+  }
   return {};
 }
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 using namespace daisy;
 
@@ -348,6 +349,62 @@ private:
     }
   }
 
+  //===--- Block legality --------------------------------------------------===//
+
+  /// True when running \p Op a block of iterations at a time — each
+  /// statement over the whole block before the next, and a statement's
+  /// loads of the block before its stores — touches every element in the
+  /// same order as the per-iteration loop. Must run after the inner term
+  /// split. Distinct slots are distinct storage (DataEnv buffers; the api
+  /// layer rejects overlapping argument bindings).
+  static bool blockable(const PlanOp &Op) {
+    struct Ref {
+      const PlanAccess *Acc;
+      size_t Stmt;
+      bool Write;
+    };
+    std::vector<Ref> Refs;
+    for (size_t Si = 0; Si < Op.Stmts.size(); ++Si) {
+      const CompiledStmt &S = Op.Stmts[Si];
+      // A select evaluates only its taken branch, per iteration.
+      for (const TapeInstr &I : S.Tape)
+        if (I.Kind == TapeOpKind::JumpIfZero || I.Kind == TapeOpKind::Jump)
+          return false;
+      Refs.push_back({&S.Write, Si, true});
+      for (const PlanAccess &Load : S.Loads)
+        Refs.push_back({&Load, Si, false});
+    }
+    for (size_t X = 0; X < Refs.size(); ++X)
+      for (size_t Y = X; Y < Refs.size(); ++Y) {
+        const Ref *A = &Refs[X], *B = &Refs[Y];
+        if (A->Acc->Slot != B->Acc->Slot || !(A->Write || B->Write))
+          continue;
+        if (A->Acc->Base.Terms != B->Acc->Base.Terms ||
+            A->Acc->InnerCoeff != B->Acc->InnerCoeff)
+          return false;
+        int64_t Gap = A->Acc->Base.Constant - B->Acc->Base.Constant;
+        int64_t Stride = A->Acc->InnerCoeff * Op.Step;
+        if (Stride == 0) {
+          if (Gap == 0)
+            return false; // one loop-invariant element every iteration
+          continue;
+        }
+        if (Gap % Stride != 0)
+          continue; // never the same element
+        // B touches A's element this many iterations after A does.
+        int64_t Distance = Gap / Stride;
+        if (Distance == 0)
+          continue; // same iteration: one lane, statement order kept
+        if (Distance < 0)
+          std::swap(A, B);
+        // A touches the element first, so its block pass must come first.
+        if (A->Stmt > B->Stmt ||
+            (A->Stmt == B->Stmt && A->Write && !B->Write))
+          return false;
+      }
+    return true;
+  }
+
   //===--- Parallel marking ------------------------------------------------===//
 
   /// Applies a trusted `parallel` mark to \p Op: record the fork and the
@@ -408,6 +465,10 @@ private:
       Plan.MaxSubs = std::max(Plan.MaxSubs, Op.Stmts.size());
       if (Options.EnableSpecialization && Op.Stmts.size() == 1)
         matchKernel(*dynCast<Computation>(L.body()[0]), Op.Stmts[0]);
+      Op.Blocked =
+          Op.Stmts[0].Kernel == InnerKernel::None && blockable(Op);
+      if (Op.Blocked)
+        Plan.StackLanes = ExecPlan::BlockLen;
       Plan.Ops.push_back(std::move(Op));
       return;
     }
@@ -555,6 +616,107 @@ double evalTape(const CompiledStmt &S, const int64_t *Regs,
   return Sp[-1];
 }
 
+/// Calls \p F with \p Op as a compile-time constant, so a lane loop that
+/// passes it to applyUnary/applyBinary gets the switch folded away.
+template <typename Fn> void withConstOp(UnaryOpKind Op, Fn &&F) {
+  using K = UnaryOpKind;
+  switch (Op) {
+  case K::Neg: return F(std::integral_constant<K, K::Neg>());
+  case K::Exp: return F(std::integral_constant<K, K::Exp>());
+  case K::Log: return F(std::integral_constant<K, K::Log>());
+  case K::Sqrt: return F(std::integral_constant<K, K::Sqrt>());
+  case K::Abs: return F(std::integral_constant<K, K::Abs>());
+  }
+}
+
+template <typename Fn> void withConstOp(BinaryOpKind Op, Fn &&F) {
+  using K = BinaryOpKind;
+  switch (Op) {
+  case K::Add: return F(std::integral_constant<K, K::Add>());
+  case K::Sub: return F(std::integral_constant<K, K::Sub>());
+  case K::Mul: return F(std::integral_constant<K, K::Mul>());
+  case K::Div: return F(std::integral_constant<K, K::Div>());
+  case K::Min: return F(std::integral_constant<K, K::Min>());
+  case K::Max: return F(std::integral_constant<K, K::Max>());
+  case K::Pow: return F(std::integral_constant<K, K::Pow>());
+  case K::Lt: return F(std::integral_constant<K, K::Lt>());
+  case K::Le: return F(std::integral_constant<K, K::Le>());
+  case K::Gt: return F(std::integral_constant<K, K::Gt>());
+  case K::Ge: return F(std::integral_constant<K, K::Ge>());
+  case K::Eq: return F(std::integral_constant<K, K::Eq>());
+  }
+}
+
+/// Row stride of the block value stack.
+constexpr size_t BlockLanes = static_cast<size_t>(ExecPlan::BlockLen);
+
+/// Evaluates a select-free tape over \p N consecutive inner iterations,
+/// lane J running iteration I0 + J * Step of the inner register \p Reg.
+/// Every lane performs the per-iteration evaluator's scalar operations in
+/// its order. \p Offs are the loads' element offsets at lane 0. Returns
+/// the result row.
+const double *evalBlock(const CompiledStmt &S, int32_t Reg, int64_t I0,
+                        int64_t Step, size_t N, const int64_t *Offs,
+                        const int64_t *Regs, double *const *Ptrs,
+                        double *Stack) {
+  size_t Depth = 0; // rows in use; row D holds lanes [D * BlockLanes, +N)
+  auto Row = [&](size_t D) { return Stack + D * BlockLanes; };
+  for (const TapeInstr &I : S.Tape) {
+    switch (I.Kind) {
+    case TapeOpKind::Const:
+      std::fill_n(Row(Depth++), N, I.Value);
+      break;
+    case TapeOpKind::IterReg: {
+      double *Dst = Row(Depth++);
+      if (I.A == Reg)
+        for (size_t J = 0; J < N; ++J)
+          Dst[J] = static_cast<double>(I0 + static_cast<int64_t>(J) * Step);
+      else
+        std::fill_n(Dst, N, static_cast<double>(Regs[I.A]));
+      break;
+    }
+    case TapeOpKind::Load: {
+      double *Dst = Row(Depth++);
+      const PlanAccess &Acc = S.Loads[static_cast<size_t>(I.A)];
+      const double *Src = Ptrs[Acc.Slot] + Offs[I.A];
+      const int64_t Stride = Acc.InnerStep;
+      if (Stride == 1)
+        std::copy_n(Src, N, Dst);
+      else if (Stride == 0)
+        std::fill_n(Dst, N, *Src);
+      else
+        for (size_t J = 0; J < N; ++J)
+          Dst[J] = Src[static_cast<int64_t>(J) * Stride];
+      break;
+    }
+    case TapeOpKind::Unary: {
+      double *X = Row(Depth - 1);
+      withConstOp(static_cast<UnaryOpKind>(I.Op), [&](auto Op) {
+        for (size_t J = 0; J < N; ++J)
+          X[J] = applyUnary(Op, X[J]);
+      });
+      break;
+    }
+    case TapeOpKind::Binary: {
+      double *L = Row(Depth - 2);
+      const double *R = Row(Depth - 1);
+      withConstOp(static_cast<BinaryOpKind>(I.Op), [&](auto Op) {
+        for (size_t J = 0; J < N; ++J)
+          L[J] = applyBinary(Op, L[J], R[J]);
+      });
+      --Depth;
+      break;
+    }
+    case TapeOpKind::JumpIfZero:
+    case TapeOpKind::Jump:
+      assert(false && "blocked ops carry no selects");
+      break;
+    }
+  }
+  assert(Depth == 1 && "malformed expression tape");
+  return Stack;
+}
+
 } // namespace
 
 namespace daisy {
@@ -578,7 +740,7 @@ public:
     LoopHi.assign(Depth, 0);
     Offs.resize(std::max<size_t>(Plan.MaxLoads, 1));
     WOffs.resize(std::max<size_t>(Plan.MaxSubs, 1));
-    Stack.resize(std::max<size_t>(Plan.MaxStack, 1));
+    Stack.resize(std::max<size_t>(Plan.MaxStack, 1) * Plan.StackLanes);
   }
 
   /// Thread-local clone for one chunk of parallel op \p Op: copies the
@@ -657,6 +819,27 @@ private:
 #endif
   }
 
+  /// Debug-only checks of an inner loop's \p N iterations from \p Lo for
+  /// statements that access memory on every iteration (no selects):
+  /// offsets and per-dimension subscripts are affine in the inner
+  /// iterator, so in-range at both endpoints implies in-range throughout.
+  void checkInnerEndpoints(const PlanOp &Op, const CompiledStmt &S,
+                           int64_t Lo, int64_t N) {
+    (void)Op;
+    (void)S;
+    (void)Lo;
+    (void)N;
+#ifndef NDEBUG
+    for (int64_t I : {Lo, Lo + (N - 1) * Op.Step}) {
+      Regs[Op.Reg] = I;
+      checkAccess(S.Write,
+                  S.Write.Base.eval(Regs.data()) + S.Write.InnerCoeff * I);
+      for (const PlanAccess &Load : S.Loads)
+        checkAccess(Load, Load.Base.eval(Regs.data()) + Load.InnerCoeff * I);
+    }
+#endif
+  }
+
   void runStmt(const PlanOp &Op) {
     const CompiledStmt &S = Op.Stmts[0];
     double Value = evalTape(S, Regs.data(), Ptrs.data(), Stack.data(),
@@ -671,6 +854,7 @@ private:
   }
 
   void runInner(const PlanOp &Op, int64_t Lo, int64_t Hi);
+  void runBlocks(const PlanOp &Op, int64_t Lo, int64_t N);
   void runKernel(const PlanOp &Op, const CompiledStmt &S, int64_t Lo,
                  int64_t N);
   void runCall(const PlanOp &Op);
@@ -704,7 +888,7 @@ void PlanExecutor::runCall(const PlanOp &Op) {
 
 void PlanExecutor::runKernel(const PlanOp &Op, const CompiledStmt &S,
                              int64_t Lo, int64_t N) {
-  (void)Op; // only the debug endpoint checks need the loop op
+  checkInnerEndpoints(Op, S, Lo, N);
   int64_t WOff = S.Write.Base.eval(Regs.data()) + S.Write.InnerCoeff * Lo;
   int64_t LOff[MaxKernelLoads];
   const double *L[MaxKernelLoads];
@@ -715,19 +899,6 @@ void PlanExecutor::runKernel(const PlanOp &Op, const CompiledStmt &S,
     L[A] = Ptrs[S.Loads[A].Slot] + LOff[A];
     LS[A] = S.Loads[A].InnerStep;
   }
-#ifndef NDEBUG
-  // Offsets and per-dimension subscripts are affine in the inner iterator,
-  // so in-range at both endpoints implies in-range throughout.
-  for (int64_t I : {Lo, Lo + (N - 1) * Op.Step}) {
-    Regs[Op.Reg] = I;
-    checkAccess(S.Write,
-                S.Write.Base.eval(Regs.data()) + S.Write.InnerCoeff * I);
-    for (size_t A = 0; A < K; ++A)
-      checkAccess(S.Loads[A],
-                  S.Loads[A].Base.eval(Regs.data()) +
-                      S.Loads[A].InnerCoeff * I);
-  }
-#endif
   double *W = Ptrs[S.Write.Slot] + WOff;
   const int64_t Ws = S.Write.InnerStep;
   const double C = S.Coef;
@@ -854,12 +1025,39 @@ void PlanExecutor::runKernel(const PlanOp &Op, const CompiledStmt &S,
   }
 }
 
+void PlanExecutor::runBlocks(const PlanOp &Op, int64_t Lo, int64_t N) {
+  for (const CompiledStmt &S : Op.Stmts)
+    checkInnerEndpoints(Op, S, Lo, N);
+  for (int64_t First = 0; First < N; First += ExecPlan::BlockLen) {
+    const int64_t Lanes = std::min(ExecPlan::BlockLen, N - First);
+    const int64_t I0 = Lo + First * Op.Step;
+    for (size_t Si = 0; Si < Op.Stmts.size(); ++Si) {
+      const CompiledStmt &S = Op.Stmts[Si];
+      int64_t *LoadOffs = Offs.data() + S.OffsetBase;
+      const double *Values =
+          evalBlock(S, Op.Reg, I0, Op.Step, static_cast<size_t>(Lanes),
+                    LoadOffs, Regs.data(), Ptrs.data(), Stack.data());
+      double *W = Ptrs[S.Write.Slot] + WOffs[Si];
+      const int64_t Ws = S.Write.InnerStep;
+      if (Ws == 1)
+        std::copy_n(Values, Lanes, W);
+      else
+        for (int64_t J = 0; J < Lanes; ++J)
+          W[J * Ws] = Values[J];
+      for (size_t A = 0; A < S.Loads.size(); ++A)
+        LoadOffs[A] += S.Loads[A].InnerStep * Lanes;
+      WOffs[Si] += Ws * Lanes;
+    }
+  }
+}
+
 void PlanExecutor::runInner(const PlanOp &Op, int64_t Lo, int64_t Hi) {
   if (Lo >= Hi)
     return;
+  const int64_t N = (Hi - Lo + Op.Step - 1) / Op.Step;
   if (Op.Stmts.size() == 1 &&
       Op.Stmts[0].Kernel != InnerKernel::None) {
-    runKernel(Op, Op.Stmts[0], Lo, (Hi - Lo + Op.Step - 1) / Op.Step);
+    runKernel(Op, Op.Stmts[0], Lo, N);
     return;
   }
   for (size_t Si = 0; Si < Op.Stmts.size(); ++Si) {
@@ -868,6 +1066,10 @@ void PlanExecutor::runInner(const PlanOp &Op, int64_t Lo, int64_t Hi) {
       Offs[S.OffsetBase + A] =
           S.Loads[A].Base.eval(Regs.data()) + S.Loads[A].InnerCoeff * Lo;
     WOffs[Si] = S.Write.Base.eval(Regs.data()) + S.Write.InnerCoeff * Lo;
+  }
+  if (Op.Blocked) {
+    runBlocks(Op, Lo, N);
+    return;
   }
   for (int64_t I = Lo; I < Hi; I += Op.Step) {
     Regs[Op.Reg] = I;
@@ -1072,6 +1274,8 @@ ExecPlan::Stats ExecPlan::stats() const {
     for (const CompiledStmt &S : Op.Stmts)
       if (S.Kernel != InnerKernel::None)
         ++Result.SpecializedKernels;
+    if (Op.Blocked)
+      ++Result.BlockedLoops;
     if (Op.Parallel) {
       ++Result.ParallelLoops;
       Result.PrivatizedBuffers += Op.PrivateSlots.size();

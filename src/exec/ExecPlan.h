@@ -29,6 +29,21 @@
 ///   shape (copy, scale, scaled stencil sum, axpy, fma-accumulate) is
 ///   lowered to a dedicated inner kernel: a tight loop over raw pointers
 ///   with no tape dispatch, auto-vectorizable when the strides are unit,
+/// - any other InnerStmt runs up to ExecPlan::BlockLen inner iterations
+///   at a time when that keeps every dependence: each tape instruction is
+///   dispatched once per block, over one row of a structure-of-arrays
+///   value stack; the statement's result row is then stored, and the next
+///   statement runs over the same block. Each lane performs one
+///   iteration's scalar operations in order, so results stay
+///   bit-identical. The compiler blocks an op that has no select and in
+///   which every pair of same-slot accesses, at least one a write:
+///   * has identical outer terms and the same inner coefficient;
+///   * does not touch one loop-invariant element every iteration (this
+///     excludes accumulators and 0-d scalars);
+///   * keeps its order where access B touches access A's element d > 0
+///     iterations later: A's statement precedes B's, or they are the same
+///     statement and A is not a write that B reads (a carried flow).
+///   Every other InnerStmt evaluates its tapes one iteration at a time,
 /// - a loop carrying the `parallel` mark (placed by transform/Parallelize,
 ///   proven dependence-free by analysis/Legality) is executed by chunking
 ///   its iteration range over the persistent thread pool
@@ -175,6 +190,9 @@ struct PlanOp {
   /// (the loop carried a trusted `parallel` mark without atomic
   /// reduction).
   bool Parallel = false;
+  /// InnerStmt without a specialized kernel: evaluate ExecPlan::BlockLen
+  /// iterations per tape dispatch (the access pattern proved it exact).
+  bool Blocked = false;
   /// Parallel ops: (slot, element count) of transient buffers each thread
   /// must replace with a private copy of the shared buffer (its contents
   /// are invisible to the loop — legality proves define-before-use — but
@@ -201,7 +219,8 @@ struct PlanOptions {
   int NumThreads = 0;
   /// Lower matching single-statement inner loops to specialized kernels.
   /// Off compiles every statement to the generic tape (used by the
-  /// differential tests to isolate the two mechanisms).
+  /// differential tests to isolate the two mechanisms); inner loops whose
+  /// access pattern allows it are still block-evaluated.
   bool EnableSpecialization = true;
 };
 
@@ -261,6 +280,9 @@ chunkLoopRange(int64_t Lo, int64_t Hi, int64_t Step, int MaxChunks);
 /// DataEnv allocated for the same program.
 class ExecPlan {
 public:
+  /// Inner iterations a blocked op evaluates per tape dispatch.
+  static constexpr int64_t BlockLen = 128;
+
   /// Compile-time statistics (for tests and the micro benchmark).
   struct Stats {
     size_t Ops = 0;
@@ -268,6 +290,7 @@ public:
     size_t FastPathStatements = 0; ///< Sub-statements of InnerStmt ops.
     size_t MultiStmtInnerLoops = 0; ///< InnerStmt ops with > 1 statement.
     size_t SpecializedKernels = 0; ///< Statements lowered to InnerKernel.
+    size_t BlockedLoops = 0;       ///< InnerStmt ops evaluated per block.
     size_t ParallelLoops = 0;      ///< Ops that fork onto the thread pool.
     size_t PrivatizedBuffers = 0;  ///< Per-thread private buffers (slots).
     int MaxLoopDepth = 0;
@@ -318,6 +341,8 @@ private:
   int MaxDepth = 0;
   int ThreadCount = 1;
   size_t MaxStack = 0;
+  /// Values per stack slot: BlockLen when some op is blocked, else 1.
+  size_t StackLanes = 1;
   size_t MaxLoads = 0; ///< Max total loads of one op (offset scratch).
   size_t MaxSubs = 0;  ///< Max statements of one op (write-offset scratch).
 

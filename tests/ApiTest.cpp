@@ -10,9 +10,9 @@
 //   Engine share a single kernel (counter-asserted), with LRU eviction
 //   and explicit invalidation recompiling;
 // - zero-copy ArgBinding runs validate against the array declarations
-//   (shape mismatch, unknown/duplicate/missing/transient arrays are
-//   diagnostics, not UB) and produce results bit-identical to the
-//   tree-walking semantics definition;
+//   (shape mismatch, unknown/duplicate/missing/transient arrays and
+//   overlapping storage are diagnostics, not UB) and produce results
+//   bit-identical to the tree-walking semantics definition;
 // - concurrent Kernel::run calls from many threads, on caller-owned
 //   buffers and on pooled deterministic environments, are bit-identical
 //   to serial execution (this suite runs under ThreadSanitizer in CI);
@@ -232,12 +232,60 @@ TEST(ArgBindingTest, RejectsInvalidBindings) {
   Status = K.run(Null);
   EXPECT_FALSE(Status.ok());
 
+  // Overlapping storage: B's binding starts inside A's.
+  std::vector<double> Shared(100);
+  Status = K.run(ArgBinding()
+                     .bind("A", Shared.data(), 64)
+                     .bind("B", Shared.data() + 36, 64)
+                     .bind("C", C));
+  EXPECT_FALSE(Status.ok());
+  EXPECT_EQ(Status.Why, RunStatus::BindError);
+  EXPECT_NE(Status.Error.find("overlapping"), std::string::npos);
+  EXPECT_NE(Status.Error.find("'A'"), std::string::npos);
+  EXPECT_NE(Status.Error.find("'B'"), std::string::npos);
+
   // A failed run leaves the outputs untouched.
   C.assign(64, -1.0);
   Status = K.run(ArgBinding().bind("A", A).bind("B", B));
   EXPECT_FALSE(Status.ok());
   for (double V : C)
     EXPECT_EQ(V, -1.0);
+}
+
+TEST(ArgBindingTest, BindRejectsAliasedStorage) {
+  // B[i] = A[i-1] + 1 with A and B on one buffer: the plan's in-place
+  // update and the tree-walker's staged copies disagree, so no answer is
+  // the program's.
+  int N = 300;
+  Program Prog("shift");
+  Prog.addArray("A", {N});
+  Prog.addArray("B", {N});
+  Prog.append(forLoop("i", 1, N,
+                      {assign("S0", "B", {ax("i")},
+                              read("A", {ax("i") - 1}) + lit(1.0))}));
+  Kernel K = Kernel::compile(Prog);
+
+  size_t Len = static_cast<size_t>(N);
+  std::vector<double> X(2 * Len, 0.0);
+  BoundArgs Aliased =
+      K.bind(ArgBinding().bind("A", X.data(), Len).bind("B", X.data(), Len));
+  EXPECT_FALSE(Aliased.ok());
+  EXPECT_NE(Aliased.error().find("overlapping"), std::string::npos);
+  EXPECT_NE(Aliased.error().find("'A'"), std::string::npos);
+  EXPECT_NE(Aliased.error().find("'B'"), std::string::npos);
+  RunStatus Status = K.run(Aliased);
+  EXPECT_EQ(Status.Why, RunStatus::BindError);
+  EXPECT_EQ(X[200], 0.0);
+
+  // Adjacent halves of one buffer do not overlap and run like the
+  // tree-walker.
+  BoundArgs Adjacent = K.bind(
+      ArgBinding().bind("A", X.data() + Len, Len).bind("B", X.data(), Len));
+  ASSERT_TRUE(Adjacent.ok()) << Adjacent.error();
+  ASSERT_TRUE(K.run(Adjacent));
+  DataEnv Ref(Prog);
+  interpretTreeWalk(Prog, Ref);
+  EXPECT_EQ(std::vector<double>(X.begin(), X.begin() + N), Ref.buffer("B"));
 }
 
 TEST(ArgBindingTest, RejectsBindingTransientArrays) {

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Engine.h"
 #include "cloudsc/Cloudsc.h"
 #include "exec/ExecPlan.h"
 #include "exec/Interpreter.h"
@@ -439,7 +440,179 @@ TEST(MultiStmtTest, OrderSensitiveScalarChainIsExact) {
   ExecPlan::Stats Stats = ExecPlan::compile(Prog).stats();
   EXPECT_EQ(Stats.MultiStmtInnerLoops, 1u);
   EXPECT_EQ(Stats.FastPathStatements, 4u);
+  // The 0-d scalar is one loop-invariant element every iteration.
+  EXPECT_EQ(Stats.BlockedLoops, 0u);
   expectBitIdenticalEverywhere(Prog, "scalar-chain");
+}
+
+//===----------------------------------------------------------------------===//
+// Block evaluation (inner loops run ExecPlan::BlockLen iterations per tape
+// dispatch when the access pattern keeps every dependence)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int BlockLen = static_cast<int>(ExecPlan::BlockLen);
+
+/// Trip count that crosses two block boundaries and ends in a partial block.
+constexpr int CrossBlocks = 2 * BlockLen + 5;
+
+/// Blocked inner loops of \p Prog compiled without specialization, so
+/// statements of a kernel shape reach the block legality check too.
+size_t blockedLoops(const Program &Prog) {
+  PlanOptions Options;
+  Options.EnableSpecialization = false;
+  return ExecPlan::compile(Prog, Options).stats().BlockedLoops;
+}
+
+} // namespace
+
+TEST(BlockEvalTest, CarriedRecurrenceStaysPerElement) {
+  // A[i] = A[i-1] + x[i]: each iteration reads the previous one's write.
+  int N = CrossBlocks;
+  Program Prog("recurrence");
+  Prog.addArray("A", {N});
+  Prog.addArray("x", {N});
+  Prog.append(forLoop("i", 1, N,
+                      {assign("S0", "A", {ax("i")},
+                              read("A", {ax("i") - 1}) +
+                                  read("x", {ax("i")}))}));
+  EXPECT_EQ(blockedLoops(Prog), 0u);
+  expectBitIdenticalEverywhere(Prog, "recurrence");
+}
+
+TEST(BlockEvalTest, AntiDependenceIsBlocked) {
+  // A[i] = A[i+1] * c: the read of A[i+1] precedes its overwrite one
+  // iteration later, and a block loads every lane before it stores.
+  int N = CrossBlocks;
+  Program Prog("anti");
+  Prog.addArray("A", {N + 1});
+  Prog.append(forLoop("i", 0, N,
+                      {assign("S0", "A", {ax("i")},
+                              read("A", {ax("i") + 1}) * lit(0.75))}));
+  EXPECT_EQ(blockedLoops(Prog), 1u);
+  expectBitIdenticalEverywhere(Prog, "anti");
+}
+
+TEST(BlockEvalTest, CrossStatementDependenceDirection) {
+  int N = CrossBlocks;
+  auto Build = [&](bool WriterFirst) {
+    Program Prog(WriterFirst ? "forward" : "backward");
+    Prog.addArray("A", {N});
+    Prog.addArray("B", {N});
+    Prog.addArray("C", {N});
+    NodePtr Read = assign("S1", "B", {ax("i")}, read("C", {ax("i") - 1}));
+    NodePtr Write = assign("S2", "C", {ax("i")},
+                           read("A", {ax("i")}) * lit(2.0) +
+                               read("B", {ax("i")}));
+    std::vector<NodePtr> Body = {Read, Write};
+    if (WriterFirst)
+      std::swap(Body[0], Body[1]);
+    Prog.append(forLoop("i", 1, N, Body));
+    return Prog;
+  };
+  // S1 reads C[i-1], written by S2 one iteration earlier: a block would
+  // run S1 over every lane before S2 wrote any of them.
+  Program Backward = Build(false);
+  EXPECT_EQ(blockedLoops(Backward), 0u);
+  expectBitIdenticalEverywhere(Backward, "backward");
+  // With the writer first, its pass over the block precedes the read.
+  Program Forward = Build(true);
+  EXPECT_EQ(blockedLoops(Forward), 1u);
+  expectBitIdenticalEverywhere(Forward, "forward");
+}
+
+TEST(BlockEvalTest, MismatchedSubscriptsStayPerElement) {
+  // Same-array accesses the legality check cannot compare: A[2*i] = A[i]
+  // re-reads elements written earlier in the loop (other coefficient),
+  // and A[i] = A[t] re-reads A[t] after iteration t overwrote it (other
+  // outer terms).
+  int N = CrossBlocks;
+  Program Scaled("coefficient");
+  Scaled.addArray("A", {2 * N});
+  Scaled.append(forLoop("i", 0, N,
+                        {assign("S0", "A", {ax("i") * 2},
+                                read("A", {ax("i")}) + lit(1.0))}));
+  EXPECT_EQ(blockedLoops(Scaled), 0u);
+  expectBitIdenticalEverywhere(Scaled, "coefficient");
+
+  Program Outer("outer-terms");
+  Outer.addArray("A", {N});
+  Outer.append(forLoop(
+      "t", 0, 3,
+      {forLoop("i", 0, N,
+               {assign("S0", "A", {ax("i")},
+                       read("A", {ax("t")}) * lit(0.5) + lit(1.0))})}));
+  EXPECT_EQ(blockedLoops(Outer), 0u);
+  expectBitIdenticalEverywhere(Outer, "outer-terms");
+}
+
+TEST(BlockEvalTest, TripCountsAroundBlockBoundaries) {
+  // Non-unit step and a strided write, with trip counts below, at, and
+  // across block boundaries.
+  for (int Trips : {1, BlockLen - 1, BlockLen, BlockLen + 1, CrossBlocks}) {
+    int Hi = 1 + 3 * Trips;
+    Program Prog("trips");
+    Prog.addArray("A", {Hi});
+    Prog.addArray("B", {Hi + 1});
+    Prog.addArray("W", {2 * Hi});
+    Prog.append(forLoop(
+        "i", 1, Hi,
+        {assign("S0", "W", {ax("i") * 2},
+                esqrt(read("A", {ax("i")})) * read("B", {ax("i") + 1}) -
+                    read("A", {ax("i")}))},
+        /*Step=*/3));
+    EXPECT_EQ(blockedLoops(Prog), 1u) << Trips;
+    EXPECT_EQ(ExecPlan::compile(Prog).stats().BlockedLoops, 1u) << Trips;
+    expectBitIdenticalEverywhere(Prog, "trips");
+  }
+}
+
+TEST(BlockEvalTest, InnerAndOuterIteratorsAsValues) {
+  int N = CrossBlocks;
+  Program Prog("iters");
+  Prog.addArray("A", {3, N});
+  Prog.addArray("W", {3, N});
+  Prog.append(forLoop(
+      "j", 0, 3,
+      {forLoop("i", 0, N,
+               {assign("S0", "W", {ax("j"), ax("i")},
+                       read("A", {ax("j"), ax("i")}) * Expr::makeIter("i") +
+                           Expr::makeIter("j") -
+                           Expr::makeIter("i") / lit(4.0))})}));
+  EXPECT_EQ(blockedLoops(Prog), 1u);
+  expectBitIdenticalEverywhere(Prog, "iters");
+}
+
+TEST(BlockEvalTest, SelectsStayPerElement) {
+  // Only the taken branch of a select may run.
+  Program Prog = singleLoopProgram(
+      Expr::makeSelect(
+          Expr::makeBinary(BinaryOpKind::Lt, read("A", {ax("i")}), lit(0.5)),
+          read("A", {ax("i")}), read("B", {ax("i")}) * lit(2.0)),
+      CrossBlocks);
+  EXPECT_EQ(blockedLoops(Prog), 0u);
+  expectBitIdenticalEverywhere(Prog, "select");
+}
+
+TEST(BlockEvalTest, ScheduledCloudscAcrossBlocks) {
+  // Engine::schedule leaves every CLOUDSC variant as fissioned
+  // single-statement inner loops over jl; every statement no kernel
+  // matched must run per block, and the loops span two full blocks and a
+  // partial one.
+  CloudscConfig Config;
+  Config.Nproma = CrossBlocks;
+  Config.Klev = 4;
+  Config.Nblocks = 2;
+  for (CloudscVariant Variant :
+       {CloudscVariant::Fortran, CloudscVariant::C, CloudscVariant::DaCe}) {
+    Engine Eng;
+    Program Scheduled = Eng.schedule(buildCloudsc(Config, Variant));
+    ExecPlan::Stats Stats = ExecPlan::compile(Scheduled).stats();
+    EXPECT_EQ(Stats.Statements - Stats.SpecializedKernels, 38u);
+    EXPECT_EQ(Stats.BlockedLoops, 38u);
+    expectBitIdenticalEverywhere(Scheduled, "cloudsc-scheduled");
+  }
 }
 
 //===----------------------------------------------------------------------===//
