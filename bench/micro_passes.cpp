@@ -3,12 +3,13 @@
 // Part of the daisy project. MIT license.
 //
 // google-benchmark microbenchmarks of the compiler passes themselves
-// (normalization, dependence analysis, simulation): the compile-time cost
-// of a priori normalization, which the paper argues is negligible next to
-// auto-scheduler search.
+// (normalization, dependence analysis, scheduling, simulation): the
+// compile-time cost of a priori normalization, which the paper argues is
+// negligible next to auto-scheduler search.
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "analysis/Dependence.h"
 #include "cloudsc/Cloudsc.h"
 #include "frontends/PolyBench.h"
@@ -63,6 +64,35 @@ static void BM_DependenceAnalysis(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_DependenceAnalysis);
+
+static void BM_DependenceAnalysisCloudsc(benchmark::State &State) {
+  // The raw Fortran program before normalization: its fused many-statement
+  // bodies give the analysis the most statement pairs to test.
+  Program Prog = buildCloudsc(CloudscConfig(), CloudscVariant::Fortran);
+  for (auto _ : State) {
+    auto Deps = computeDependences(Prog.topLevel(), Prog.params());
+    benchmark::DoNotOptimize(Deps);
+  }
+}
+BENCHMARK(BM_DependenceAnalysisCloudsc);
+
+static void BM_ScheduleCloudsc(benchmark::State &State) {
+  // Engine::schedule of the three CLOUDSC variants at the default
+  // configuration on an empty database: the scheduling half of a cold
+  // Engine::optimize in perfbench's cloudsc_variants workload (normalize,
+  // idiom lift, transfer lookup), without the plan compile.
+  std::vector<Program> Variants;
+  for (CloudscVariant Variant :
+       {CloudscVariant::Fortran, CloudscVariant::C, CloudscVariant::DaCe})
+    Variants.push_back(buildCloudsc(CloudscConfig(), Variant));
+  Engine Eng(bench::benchEngineOptions(8));
+  for (auto _ : State)
+    for (const Program &Prog : Variants) {
+      Program Scheduled = Eng.schedule(Prog);
+      benchmark::DoNotOptimize(Scheduled);
+    }
+}
+BENCHMARK(BM_ScheduleCloudsc)->Unit(benchmark::kMillisecond);
 
 static void BM_SimulateGemm(benchmark::State &State) {
   Program Prog = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);

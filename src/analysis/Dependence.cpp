@@ -7,6 +7,7 @@
 #include "analysis/Dependence.h"
 
 #include <cassert>
+#include <map>
 #include <numeric>
 
 using namespace daisy;
@@ -51,16 +52,6 @@ std::string Dependence::toString() const {
 
 namespace {
 
-/// One linear equation sum(Coeff_v * v) + Constant = 0 over renamed
-/// variables. Source-side iterators are tagged "s:", sink-side "t:".
-struct LinearEq {
-  std::map<std::string, int64_t> Coeffs;
-  int64_t Constant = 0;
-};
-
-/// Variable ranges for the renamed variables of one equation system.
-using RangeMap = std::map<std::string, IterRange>;
-
 /// Accumulates Coefficient * Range into [Min, Max].
 void accumulate(int64_t Coefficient, const IterRange &Range, int64_t &Min,
                 int64_t &Max) {
@@ -73,170 +64,233 @@ void accumulate(int64_t Coefficient, const IterRange &Range, int64_t &Min,
   }
 }
 
-/// GCD feasibility: sum of coefficient*integer can hit -Constant only if
-/// gcd of coefficients divides it.
-bool gcdFeasible(const LinearEq &Eq) {
-  int64_t G = 0;
-  for (const auto &[Name, Coefficient] : Eq.Coeffs)
-    G = std::gcd(G, Coefficient < 0 ? -Coefficient : Coefficient);
-  if (G == 0)
-    return Eq.Constant == 0;
-  return Eq.Constant % G == 0;
-}
+/// One access as dense integer rows: per subscript, one coefficient per
+/// variable of its statement, with parameters folded into the constant.
+struct PreparedAccess {
+  const ArrayAccess *Access = nullptr;
+  /// Dense id of the array within one analysis (-1 when unused).
+  int ArrayId = -1;
+  /// rank() x NumVars coefficients, row-major.
+  std::vector<int64_t> Coeffs;
+  /// One constant per subscript.
+  std::vector<int64_t> Constants;
 
-/// Context shared between all direction vectors of one access pair.
-struct PairContext {
-  std::vector<LinearEq> Equations;
-  // Ranges of non-common (private) variables, already renamed.
-  RangeMap PrivateRanges;
-  // Per common loop: range, and the source/sink variable names.
-  struct CommonLoopInfo {
-    IterRange Range;
-    std::string SrcVar;
-    std::string SinkVar;
-  };
-  std::vector<CommonLoopInfo> Common;
+  size_t rank() const { return Constants.size(); }
 };
 
-/// Renames iterator \p Name to its side-tagged form.
-std::string srcVar(const std::string &Name) { return "s:" + Name; }
-std::string sinkVar(const std::string &Name) { return "t:" + Name; }
+/// A statement prepared once for all its pair tests. Its variables are the
+/// distinct non-parameter names of its enclosing iterators and subscripts,
+/// numbered by name: loops that shadow an iterator share its variable, and
+/// a name bound outside the analyzed roots (an enclosing iterator of a
+/// subtree analyzed alone) gets a variable that no loop bounds. In a pair
+/// test the source statement's variables and the sink statement's are
+/// distinct, so a variable is identified by (side, name).
+struct PreparedStmt {
+  const StmtInfo *Info = nullptr;
+  /// Conservative iterator ranges, parallel to Info->Path.
+  std::vector<IterRange> Ranges;
+  /// The variable of each enclosing loop's iterator, parallel to Info->Path.
+  std::vector<size_t> PathVar;
+  size_t NumVars = 0;
+  std::vector<PreparedAccess> Accesses;
+};
 
-/// Builds per-dimension equations for accesses \p A (source side) and \p B
-/// (sink side). Returns std::nullopt if the accesses trivially cannot alias
-/// (different arrays or ranks).
-std::optional<PairContext> buildContext(const StmtInfo &S,
-                                        const ArrayAccess &A,
-                                        const StmtInfo &T,
-                                        const ArrayAccess &B,
-                                        const ValueEnv &Params) {
-  if (A.Array != B.Array || A.Indices.size() != B.Indices.size())
-    return std::nullopt;
+PreparedStmt prepare(const StmtInfo &Info,
+                     const std::vector<const ArrayAccess *> &Accesses,
+                     const ValueEnv &Params) {
+  PreparedStmt P;
+  P.Info = &Info;
+  P.Ranges = conservativeRanges(Info.Path, Params);
 
-  PairContext Ctx;
-  std::vector<std::shared_ptr<Loop>> Shared = commonLoops(S.Path, T.Path);
-  std::vector<IterRange> SrcRanges = conservativeRanges(S.Path, Params);
-  std::vector<IterRange> SinkRanges = conservativeRanges(T.Path, Params);
+  std::vector<const std::string *> Names;
+  auto VarOf = [&Names](const std::string &Name) {
+    for (size_t V = 0; V < Names.size(); ++V)
+      if (*Names[V] == Name)
+        return V;
+    Names.push_back(&Name);
+    return Names.size() - 1;
+  };
+  for (const auto &L : Info.Path)
+    P.PathVar.push_back(VarOf(L->iterator()));
+  for (const ArrayAccess *Access : Accesses)
+    for (const AffineExpr &Index : Access->Indices)
+      for (const auto &[Name, Coefficient] : Index.terms())
+        if (!Params.count(Name))
+          VarOf(Name);
+  P.NumVars = Names.size();
 
-  for (size_t I = 0; I < Shared.size(); ++I) {
-    PairContext::CommonLoopInfo Info;
-    Info.Range = SrcRanges[I];
-    Info.SrcVar = srcVar(Shared[I]->iterator());
-    Info.SinkVar = sinkVar(Shared[I]->iterator());
-    Ctx.Common.push_back(std::move(Info));
-  }
-  for (size_t I = Shared.size(); I < S.Path.size(); ++I)
-    Ctx.PrivateRanges[srcVar(S.Path[I]->iterator())] = SrcRanges[I];
-  for (size_t I = Shared.size(); I < T.Path.size(); ++I)
-    Ctx.PrivateRanges[sinkVar(T.Path[I]->iterator())] = SinkRanges[I];
-
-  for (size_t Dim = 0; Dim < A.Indices.size(); ++Dim) {
-    LinearEq Eq;
-    Eq.Constant =
-        A.Indices[Dim].constantTerm() - B.Indices[Dim].constantTerm();
-    auto addTerms = [&Eq, &Params](const AffineExpr &Expr, bool SourceSide,
-                                   int64_t Sign) {
-      for (const auto &[Name, Coefficient] : Expr.terms()) {
+  for (const ArrayAccess *Access : Accesses) {
+    PreparedAccess PA;
+    PA.Access = Access;
+    PA.Coeffs.assign(Access->Indices.size() * P.NumVars, 0);
+    for (size_t Dim = 0; Dim < Access->Indices.size(); ++Dim) {
+      const AffineExpr &Index = Access->Indices[Dim];
+      int64_t Constant = Index.constantTerm();
+      for (const auto &[Name, Coefficient] : Index.terms()) {
         auto ParamIt = Params.find(Name);
-        if (ParamIt != Params.end()) {
-          Eq.Constant += Sign * Coefficient * ParamIt->second;
+        if (ParamIt != Params.end())
+          Constant += Coefficient * ParamIt->second;
+        else
+          PA.Coeffs[Dim * P.NumVars + VarOf(Name)] += Coefficient;
+      }
+      PA.Constants.push_back(Constant);
+    }
+    P.Accesses.push_back(std::move(PA));
+  }
+  return P;
+}
+
+/// What a statement pair (S, T) fixes for all its access pairs: the number
+/// of common loops, and per side the range of each variable a loop below
+/// them binds (the deepest such loop when iterators are shadowed).
+struct PairFrame {
+  size_t NumCommon = 0;
+  std::vector<const IterRange *> SrcPrivate;
+  std::vector<const IterRange *> SinkPrivate;
+
+  void reset(const PreparedStmt &S, const PreparedStmt &T) {
+    const auto &SPath = S.Info->Path;
+    const auto &TPath = T.Info->Path;
+    NumCommon = 0;
+    while (NumCommon < SPath.size() && NumCommon < TPath.size() &&
+           SPath[NumCommon] == TPath[NumCommon])
+      ++NumCommon;
+    bindPrivate(S, SrcPrivate);
+    bindPrivate(T, SinkPrivate);
+  }
+
+private:
+  void bindPrivate(const PreparedStmt &Stmt,
+                   std::vector<const IterRange *> &Private) const {
+    Private.assign(Stmt.NumVars, nullptr);
+    for (size_t L = NumCommon; L < Stmt.PathVar.size(); ++L)
+      Private[Stmt.PathVar[L]] = &Stmt.Ranges[L];
+  }
+};
+
+/// Appends to \p Out every direction vector over the common loops of
+/// \p Frame for which access \p A of \p S (source side) and access \p B of
+/// \p T (sink side) may touch the same element. Each subscript gives one
+/// equation sum(a_v * s_v) - sum(b_w * t_w) + c = 0; a vector is feasible
+/// iff every equation passes the GCD test and Banerjee-style interval
+/// bounds, where private variables span their range and common loops are
+/// constrained by the vector's entry:
+///   Eq: I_src = I_sink = I, I in Range.
+///   Lt: I_src in Range, Delta in [1, span-1], I_sink = I_src + Delta.
+///   Gt: I_sink in Range, Delta in [1, span-1], I_src = I_sink + Delta.
+/// All 3^k vectors are tested; the parts of the test that do not depend on
+/// the vector are evaluated once.
+void feasibleVectors(const PreparedStmt &S, const PreparedAccess &A,
+                     const PreparedStmt &T, const PreparedAccess &B,
+                     const PairFrame &Frame,
+                     std::vector<std::vector<DepDirection>> &Out) {
+  assert(A.rank() == B.rank() && "pair test needs equal ranks");
+  size_t NumCommon = Frame.NumCommon;
+  for (size_t L = 0; L < NumCommon; ++L)
+    if (S.Ranges[L].isEmpty())
+      return;
+
+  size_t Rank = A.rank();
+  // Per equation: [Min, Max] of the constant plus private variables, then
+  // (source, sink) coefficients per common loop.
+  std::vector<int64_t> Base;
+  std::vector<int64_t> Common;
+  Base.reserve(2 * Rank);
+  Common.reserve(2 * Rank * NumCommon);
+  for (size_t Dim = 0; Dim < Rank; ++Dim) {
+    const int64_t *ARow = A.Coeffs.data() + Dim * S.NumVars;
+    const int64_t *BRow = B.Coeffs.data() + Dim * T.NumVars;
+    int64_t Constant = A.Constants[Dim] - B.Constants[Dim];
+    int64_t G = 0;
+    for (size_t V = 0; V < S.NumVars; ++V)
+      G = std::gcd(G, ARow[V] < 0 ? -ARow[V] : ARow[V]);
+    for (size_t V = 0; V < T.NumVars; ++V)
+      G = std::gcd(G, BRow[V] < 0 ? -BRow[V] : BRow[V]);
+    if (G == 0 ? Constant != 0 : Constant % G != 0)
+      return;
+    int64_t Min = Constant;
+    int64_t Max = Constant;
+    for (size_t V = 0; V < S.NumVars; ++V) {
+      if (ARow[V] == 0 || !Frame.SrcPrivate[V])
+        continue;
+      if (Frame.SrcPrivate[V]->isEmpty())
+        return;
+      accumulate(ARow[V], *Frame.SrcPrivate[V], Min, Max);
+    }
+    for (size_t V = 0; V < T.NumVars; ++V) {
+      if (BRow[V] == 0 || !Frame.SinkPrivate[V])
+        continue;
+      if (Frame.SinkPrivate[V]->isEmpty())
+        return;
+      accumulate(-BRow[V], *Frame.SinkPrivate[V], Min, Max);
+    }
+    Base.push_back(Min);
+    Base.push_back(Max);
+    for (size_t L = 0; L < NumCommon; ++L) {
+      Common.push_back(ARow[S.PathVar[L]]);
+      Common.push_back(-BRow[T.PathVar[L]]);
+    }
+  }
+
+  auto Feasible = [&](const std::vector<DepDirection> &Directions) {
+    for (size_t L = 0; L < NumCommon; ++L)
+      if (Directions[L] != DepDirection::Eq && S.Ranges[L].span() < 2)
+        return false; // cannot have two distinct iterations
+    for (size_t Dim = 0; Dim < Rank; ++Dim) {
+      int64_t Min = Base[2 * Dim];
+      int64_t Max = Base[2 * Dim + 1];
+      const int64_t *Coeffs = Common.data() + 2 * Dim * NumCommon;
+      for (size_t L = 0; L < NumCommon; ++L) {
+        int64_t ASrc = Coeffs[2 * L];
+        int64_t ASink = Coeffs[2 * L + 1];
+        if (ASrc == 0 && ASink == 0)
           continue;
-        }
-        std::string Var = SourceSide ? srcVar(Name) : sinkVar(Name);
-        Eq.Coeffs[Var] += Sign * Coefficient;
-        if (Eq.Coeffs[Var] == 0)
-          Eq.Coeffs.erase(Var);
+        const IterRange &R = S.Ranges[L];
+        IterRange Delta{1, R.span() - 1};
+        accumulate(ASrc + ASink, R, Min, Max);
+        if (Directions[L] == DepDirection::Lt)
+          accumulate(ASink, Delta, Min, Max);
+        else if (Directions[L] == DepDirection::Gt)
+          accumulate(ASrc, Delta, Min, Max);
       }
-    };
-    addTerms(A.Indices[Dim], /*SourceSide=*/true, 1);
-    addTerms(B.Indices[Dim], /*SourceSide=*/false, -1);
-    Ctx.Equations.push_back(std::move(Eq));
-  }
-  return Ctx;
-}
-
-/// Tests whether a direction vector is feasible for every equation via
-/// interval (Banerjee-style) bounds.
-bool directionFeasible(const PairContext &Ctx,
-                       const std::vector<DepDirection> &Directions) {
-  // Pre-compute, per common loop, how its source and sink variables are
-  // constrained by the direction entry. We model:
-  //   Eq: I_src = I_sink = I, I in Range.
-  //   Lt: I_src in Range, Delta in [1, span-1], I_sink = I_src + Delta.
-  //   Gt: I_sink in Range, Delta in [1, span-1], I_src = I_sink + Delta.
-  for (size_t L = 0; L < Ctx.Common.size(); ++L) {
-    const IterRange &R = Ctx.Common[L].Range;
-    if (R.isEmpty())
-      return false;
-    if (Directions[L] != DepDirection::Eq && R.span() < 2)
-      return false; // cannot have two distinct iterations
-  }
-
-  for (const LinearEq &Eq : Ctx.Equations) {
-    if (!gcdFeasible(Eq))
-      return false;
-    int64_t Min = Eq.Constant;
-    int64_t Max = Eq.Constant;
-    // Private variables contribute their whole range.
-    for (const auto &[Var, Range] : Ctx.PrivateRanges) {
-      auto It = Eq.Coeffs.find(Var);
-      if (It == Eq.Coeffs.end())
-        continue;
-      if (Range.isEmpty())
+      if (Min > 0 || Max < 0)
         return false;
-      accumulate(It->second, Range, Min, Max);
     }
-    // Common loops contribute according to the direction entry.
-    for (size_t L = 0; L < Ctx.Common.size(); ++L) {
-      const auto &Info = Ctx.Common[L];
-      auto SrcIt = Eq.Coeffs.find(Info.SrcVar);
-      auto SinkIt = Eq.Coeffs.find(Info.SinkVar);
-      int64_t ASrc = SrcIt == Eq.Coeffs.end() ? 0 : SrcIt->second;
-      int64_t ASink = SinkIt == Eq.Coeffs.end() ? 0 : SinkIt->second;
-      if (ASrc == 0 && ASink == 0)
-        continue;
-      const IterRange &R = Info.Range;
-      IterRange Delta{1, R.span() - 1};
-      switch (Directions[L]) {
-      case DepDirection::Eq:
-        // Combined coefficient times the shared value.
-        accumulate(ASrc + ASink, R, Min, Max);
-        break;
-      case DepDirection::Lt:
-        // I_sink = I_src + Delta.
-        accumulate(ASrc + ASink, R, Min, Max);
-        accumulate(ASink, Delta, Min, Max);
-        break;
-      case DepDirection::Gt:
-        // I_src = I_sink + Delta.
-        accumulate(ASrc + ASink, R, Min, Max);
-        accumulate(ASrc, Delta, Min, Max);
-        break;
-      }
+    return true;
+  };
+
+  size_t Total = 1;
+  for (size_t I = 0; I < NumCommon; ++I)
+    Total *= 3;
+  std::vector<DepDirection> Directions(NumCommon, DepDirection::Eq);
+  for (size_t Code = 0; Code < Total; ++Code) {
+    size_t Rest = Code;
+    for (size_t I = 0; I < NumCommon; ++I) {
+      static constexpr DepDirection Table[3] = {
+          DepDirection::Eq, DepDirection::Lt, DepDirection::Gt};
+      Directions[I] = Table[Rest % 3];
+      Rest /= 3;
     }
-    if (Min > 0 || Max < 0)
-      return false;
+    if (Feasible(Directions))
+      Out.push_back(Directions);
   }
-  return true;
 }
 
-/// True if \p Directions is lexicographically positive (first non-Eq entry
-/// is Lt).
-bool lexicographicallyPositive(const std::vector<DepDirection> &Directions) {
+/// True if \p Directions is consistent with execution order for a source
+/// statement that does (\p SrcFirst) or does not textually precede the
+/// sink: lexicographically positive (the first non-Eq entry is Lt), or
+/// all-Eq after a preceding source. Within one instance a computation
+/// reads its operands before writing, so an all-Eq self-pair is no
+/// dependence between instances.
+bool followsExecutionOrder(const std::vector<DepDirection> &Directions,
+                           bool SrcFirst) {
   for (DepDirection Dir : Directions) {
     if (Dir == DepDirection::Lt)
       return true;
     if (Dir == DepDirection::Gt)
       return false;
   }
-  return false;
-}
-
-bool allEq(const std::vector<DepDirection> &Directions) {
-  for (DepDirection Dir : Directions)
-    if (Dir != DepDirection::Eq)
-      return false;
-  return true;
+  return SrcFirst;
 }
 
 } // namespace
@@ -246,84 +300,91 @@ daisy::feasibleDirectionVectors(const StmtInfo &S, const ArrayAccess &A,
                                 const StmtInfo &T, const ArrayAccess &B,
                                 const ValueEnv &Params) {
   std::vector<std::vector<DepDirection>> Result;
-  std::optional<PairContext> Ctx = buildContext(S, A, T, B, Params);
-  if (!Ctx)
+  if (A.Array != B.Array || A.Indices.size() != B.Indices.size())
     return Result;
-
-  size_t NumCommon = Ctx->Common.size();
-  std::vector<DepDirection> Directions(NumCommon, DepDirection::Eq);
-  // Enumerate all 3^NumCommon vectors.
-  size_t Total = 1;
-  for (size_t I = 0; I < NumCommon; ++I)
-    Total *= 3;
-  for (size_t Code = 0; Code < Total; ++Code) {
-    size_t Rest = Code;
-    for (size_t I = 0; I < NumCommon; ++I) {
-      static constexpr DepDirection Table[3] = {
-          DepDirection::Eq, DepDirection::Lt, DepDirection::Gt};
-      Directions[I] = Table[Rest % 3];
-      Rest /= 3;
-    }
-    if (directionFeasible(*Ctx, Directions))
-      Result.push_back(Directions);
-  }
+  PreparedStmt PS = prepare(S, {&A}, Params);
+  PreparedStmt PT = prepare(T, {&B}, Params);
+  PairFrame Frame;
+  Frame.reset(PS, PT);
+  feasibleVectors(PS, PS.Accesses[0], PT, PT.Accesses[0], Frame, Result);
   return Result;
 }
 
 std::vector<Dependence>
 daisy::computeDependences(const std::vector<NodePtr> &Roots,
-                          const ValueEnv &Params) {
+                          const ValueEnv &Params,
+                          const StmtPairFilter &Tested) {
   std::vector<Dependence> Result;
   std::vector<StmtInfo> Stmts = collectStatements(Roots);
 
-  for (const StmtInfo &S : Stmts) {
-    AccessList SAcc = accessesOf(*S.Comp);
-    for (const StmtInfo &T : Stmts) {
-      AccessList TAcc = accessesOf(*T.Comp);
+  // Each statement's accesses (write first, then reads), rows and ranges,
+  // gathered once for all pairs it takes part in.
+  std::vector<AccessList> Lists(Stmts.size());
+  std::vector<PreparedStmt> Prepared;
+  Prepared.reserve(Stmts.size());
+  std::map<std::string, int> ArrayIds;
+  for (size_t I = 0; I < Stmts.size(); ++I) {
+    Lists[I] = accessesOf(*Stmts[I].Comp);
+    std::vector<const ArrayAccess *> Accesses{&Lists[I].Write};
+    for (const ArrayAccess &R : Lists[I].Reads)
+      Accesses.push_back(&R);
+    Prepared.push_back(prepare(Stmts[I], Accesses, Params));
+    for (PreparedAccess &PA : Prepared.back().Accesses) {
+      int NextId = static_cast<int>(ArrayIds.size());
+      PA.ArrayId = ArrayIds.emplace(PA.Access->Array, NextId).first->second;
+    }
+  }
 
-      // Gather the (source access, sink access, kind) pairs with at least
-      // one write on the same array.
-      struct Pair {
-        const ArrayAccess *A;
-        const ArrayAccess *B;
-        DepKind Kind;
-      };
-      std::vector<Pair> Pairs;
-      // Write -> read (flow).
-      for (const ArrayAccess &R : TAcc.Reads)
-        if (R.Array == SAcc.Write.Array)
-          Pairs.push_back({&SAcc.Write, &R, DepKind::Flow});
-      // Read -> write (anti).
-      for (const ArrayAccess &R : SAcc.Reads)
-        if (R.Array == TAcc.Write.Array)
-          Pairs.push_back({&R, &TAcc.Write, DepKind::Anti});
-      // Write -> write (output).
-      if (SAcc.Write.Array == TAcc.Write.Array)
-        Pairs.push_back({&SAcc.Write, &TAcc.Write, DepKind::Output});
+  struct Pair {
+    const PreparedAccess *A;
+    const PreparedAccess *B;
+    DepKind Kind;
+  };
+  std::vector<Pair> Pairs;
+  PairFrame Frame;
+  std::vector<std::vector<DepDirection>> Vectors;
+  for (size_t SI = 0; SI < Stmts.size(); ++SI) {
+    const StmtInfo &S = Stmts[SI];
+    const PreparedStmt &PS = Prepared[SI];
+    const PreparedAccess &SWrite = PS.Accesses.front();
+    for (size_t TI = 0; TI < Stmts.size(); ++TI) {
+      const StmtInfo &T = Stmts[TI];
+      if (Tested && !Tested(S, T))
+        continue;
+      const PreparedStmt &PT = Prepared[TI];
+      const PreparedAccess &TWrite = PT.Accesses.front();
 
+      // The (source access, sink access, kind) pairs with at least one
+      // write on the same array: write -> read (flow), read -> write
+      // (anti), write -> write (output).
+      Pairs.clear();
+      for (size_t R = 1; R < PT.Accesses.size(); ++R)
+        if (PT.Accesses[R].ArrayId == SWrite.ArrayId)
+          Pairs.push_back({&SWrite, &PT.Accesses[R], DepKind::Flow});
+      for (size_t R = 1; R < PS.Accesses.size(); ++R)
+        if (PS.Accesses[R].ArrayId == TWrite.ArrayId)
+          Pairs.push_back({&PS.Accesses[R], &TWrite, DepKind::Anti});
+      if (SWrite.ArrayId == TWrite.ArrayId)
+        Pairs.push_back({&SWrite, &TWrite, DepKind::Output});
+      if (Pairs.empty())
+        continue;
+
+      Frame.reset(PS, PT);
       for (const Pair &P : Pairs) {
-        std::vector<std::vector<DepDirection>> Vectors =
-            feasibleDirectionVectors(S, *P.A, T, *P.B, Params);
+        if (P.A->rank() != P.B->rank())
+          continue;
+        Vectors.clear();
+        feasibleVectors(PS, *P.A, PT, *P.B, Frame, Vectors);
         for (std::vector<DepDirection> &Directions : Vectors) {
-          bool Valid = false;
-          if (lexicographicallyPositive(Directions))
-            Valid = true;
-          else if (allEq(Directions) && S.Order < T.Order)
-            Valid = true;
-          else if (allEq(Directions) && S.Order == T.Order &&
-                   S.Comp == T.Comp && P.Kind == DepKind::Anti)
-            // Within one instance a computation reads its operands before
-            // writing; an all-Eq anti self-pair is that benign intra-
-            // instance ordering, not a dependence between instances.
-            Valid = false;
-          if (!Valid)
+          if (!followsExecutionOrder(Directions, S.Order < T.Order))
             continue;
           Dependence Dep;
           Dep.Src = S.Comp;
           Dep.Dst = T.Comp;
-          Dep.Array = P.A->Array;
+          Dep.Array = P.A->Access->Array;
           Dep.Kind = P.Kind;
-          Dep.CommonLoops = commonLoops(S.Path, T.Path);
+          Dep.CommonLoops.assign(S.Path.begin(),
+                                 S.Path.begin() + Frame.NumCommon);
           Dep.Directions = std::move(Directions);
           Result.push_back(std::move(Dep));
         }
@@ -333,7 +394,8 @@ daisy::computeDependences(const std::vector<NodePtr> &Roots,
   return Result;
 }
 
-std::vector<Dependence> daisy::computeDependences(const NodePtr &Root,
-                                                  const ValueEnv &Params) {
-  return computeDependences(std::vector<NodePtr>{Root}, Params);
+std::vector<Dependence>
+daisy::computeDependences(const NodePtr &Root, const ValueEnv &Params,
+                          const StmtPairFilter &Tested) {
+  return computeDependences(std::vector<NodePtr>{Root}, Params, Tested);
 }

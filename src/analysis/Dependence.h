@@ -19,6 +19,15 @@
 /// iteration of the shared loop, outermost first. `Lt` means the source
 /// instance runs in an earlier iteration of that loop than the sink.
 ///
+/// Cost model: one computeDependences call gathers each statement's
+/// accesses and iterator ranges once, and rewrites every subscript as a
+/// dense integer row (one coefficient per iterator, parameters folded
+/// into the constant) before testing any pair. The pair tests then run on
+/// integers only. A query that needs the dependences of one nest several
+/// times takes them precomputed: the overloads of isPermutationLegal,
+/// parallelizableLoops and isReductionLoop in analysis/Legality.h accept
+/// the result of one call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAISY_ANALYSIS_DEPENDENCE_H
@@ -27,7 +36,7 @@
 #include "analysis/Accesses.h"
 #include "ir/Program.h"
 
-#include <optional>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,17 +89,26 @@ feasibleDirectionVectors(const StmtInfo &S, const ArrayAccess &A,
                          const StmtInfo &T, const ArrayAccess &B,
                          const ValueEnv &Params);
 
-/// Computes all dependences among the computations under \p Roots.
+/// Selects the ordered statement pairs (source, sink) a computeDependences
+/// call tests; pairs it rejects report no dependence.
+using StmtPairFilter =
+    std::function<bool(const StmtInfo &Src, const StmtInfo &Dst)>;
+
+/// Computes all dependences among the computations under \p Roots, in
+/// order of source statement, then sink statement.
 ///
 /// A direction vector is reported as a dependence from S to T iff it is
 /// feasible and consistent with execution order: lexicographically positive,
-/// or all-Eq when S textually precedes T.
-std::vector<Dependence> computeDependences(const std::vector<NodePtr> &Roots,
-                                           const ValueEnv &Params);
+/// or all-Eq when S textually precedes T. When \p Tested is given, only
+/// the statement pairs it accepts are tested.
+std::vector<Dependence>
+computeDependences(const std::vector<NodePtr> &Roots, const ValueEnv &Params,
+                   const StmtPairFilter &Tested = nullptr);
 
 /// Overload scoped to a single nest.
-std::vector<Dependence> computeDependences(const NodePtr &Root,
-                                           const ValueEnv &Params);
+std::vector<Dependence>
+computeDependences(const NodePtr &Root, const ValueEnv &Params,
+                   const StmtPairFilter &Tested = nullptr);
 
 } // namespace daisy
 

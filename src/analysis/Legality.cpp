@@ -32,6 +32,12 @@ daisy::perfectNestBand(const NodePtr &Root) {
 bool daisy::isPermutationLegal(const NodePtr &Root,
                                const std::vector<std::string> &NewOrder,
                                const ValueEnv &Params) {
+  return isPermutationLegal(Root, NewOrder, computeDependences(Root, Params));
+}
+
+bool daisy::isPermutationLegal(const NodePtr &Root,
+                               const std::vector<std::string> &NewOrder,
+                               const std::vector<Dependence> &Deps) {
   std::vector<std::shared_ptr<Loop>> Band = perfectNestBand(Root);
   assert(NewOrder.size() == Band.size() &&
          "permutation must cover the full band");
@@ -67,7 +73,7 @@ bool daisy::isPermutationLegal(const NodePtr &Root,
   for (const StmtInfo &S : Stmts)
     Order[S.Comp.get()] = S.Order;
 
-  for (const Dependence &Dep : computeDependences(Root, Params)) {
+  for (const Dependence &Dep : Deps) {
     // Permute the direction entries of band loops; entries of deeper
     // (non-band) common loops keep their relative order after the band.
     std::vector<DepDirection> Permuted(Dep.Directions.size(),
@@ -211,6 +217,13 @@ std::set<std::string> daisy::privatizableArraysUnder(
 std::set<const Loop *> daisy::parallelizableLoops(const NodePtr &Root,
                                                   const ValueEnv &Params,
                                                   const Program *Prog) {
+  return parallelizableLoops(Root, computeDependences(Root, Params), Prog);
+}
+
+std::set<const Loop *>
+daisy::parallelizableLoops(const NodePtr &Root,
+                           const std::vector<Dependence> &Deps,
+                           const Program *Prog) {
   // Privatizable sets are per carrier loop; compute them lazily, once.
   std::map<const Loop *, std::set<std::string>> PrivCache;
   auto Privatizable = [&](const Dependence &Dep, size_t Level) {
@@ -230,7 +243,7 @@ std::set<const Loop *> daisy::parallelizableLoops(const NodePtr &Root,
   };
 
   std::set<const Loop *> Carriers;
-  for (const Dependence &Dep : computeDependences(Root, Params)) {
+  for (const Dependence &Dep : Deps) {
     int Level = Dep.carrierLevel();
     if (Level < 0)
       continue;
@@ -268,8 +281,13 @@ static bool isAssociativeUpdate(const Computation &Comp) {
 
 bool daisy::isReductionLoop(const NodePtr &Root, const Loop *Target,
                             const ValueEnv &Params) {
+  return isReductionLoop(computeDependences(Root, Params), Target);
+}
+
+bool daisy::isReductionLoop(const std::vector<Dependence> &Deps,
+                            const Loop *Target) {
   bool CarriesAny = false;
-  for (const Dependence &Dep : computeDependences(Root, Params)) {
+  for (const Dependence &Dep : Deps) {
     int Level = Dep.carrierLevel();
     if (Level < 0 ||
         Dep.CommonLoops[static_cast<size_t>(Level)].get() != Target)
@@ -285,6 +303,8 @@ std::vector<std::vector<size_t>>
 daisy::distributionGroups(const Loop &L, const ValueEnv &Params) {
   const std::vector<NodePtr> &Body = L.body();
   size_t N = Body.size();
+  if (N == 1)
+    return {{0}};
 
   // Map each computation to the body item containing it.
   std::map<const Computation *, size_t> Item;
@@ -293,18 +313,25 @@ daisy::distributionGroups(const Loop &L, const ValueEnv &Params) {
       Item[C.get()] = I;
 
   // Dependence graph over body items. A shell loop sharing the original
-  // body nodes keeps computation pointers valid for the Item map.
-  std::vector<std::set<size_t>> Succ(N);
+  // body nodes keeps computation pointers valid for the Item map. Only
+  // statement pairs in different items can add an edge, so only those are
+  // tested; the filter reads each statement's item by its order.
   auto Shell = std::make_shared<Loop>(L.iterator(), L.lower(), L.upper(),
                                       Body, L.step());
-  for (const Dependence &Dep : computeDependences(Shell, Params)) {
-    auto SrcIt = Item.find(Dep.Src.get());
-    auto DstIt = Item.find(Dep.Dst.get());
-    if (SrcIt == Item.end() || DstIt == Item.end())
-      continue;
-    if (SrcIt->second != DstIt->second)
-      Succ[SrcIt->second].insert(DstIt->second);
+  std::vector<int> ItemOf;
+  for (const StmtInfo &S : collectStatements(Shell)) {
+    auto It = Item.find(S.Comp.get());
+    ItemOf.push_back(It == Item.end() ? -1 : static_cast<int>(It->second));
   }
+  auto InDifferentItems = [&ItemOf](const StmtInfo &S, const StmtInfo &T) {
+    int SrcItem = ItemOf[static_cast<size_t>(S.Order)];
+    int DstItem = ItemOf[static_cast<size_t>(T.Order)];
+    return SrcItem >= 0 && DstItem >= 0 && SrcItem != DstItem;
+  };
+  std::vector<std::set<size_t>> Succ(N);
+  for (const Dependence &Dep :
+       computeDependences(Shell, Params, InDifferentItems))
+    Succ[Item.at(Dep.Src.get())].insert(Item.at(Dep.Dst.get()));
 
   // Tarjan SCC over body items.
   std::vector<int> Index(N, -1), Low(N, 0), CompOf(N, -1);

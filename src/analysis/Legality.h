@@ -8,7 +8,9 @@
 /// Legality queries for the loop transformations: permutation, distribution
 /// (fission), fusion, and parallelization. All queries are built on the
 /// conservative dependence analysis, so a "legal" verdict is sound while an
-/// "illegal" verdict may be conservative.
+/// "illegal" verdict may be conservative. The queries a caller repeats on
+/// one nest (permutation, parallelism, reduction) also take the nest's
+/// dependences precomputed, so one analysis serves them all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +39,13 @@ bool isPermutationLegal(const NodePtr &Root,
                         const std::vector<std::string> &NewOrder,
                         const ValueEnv &Params);
 
+/// The same query over \p Deps, which must be computeDependences(Root,
+/// Params): a caller that tests several orders of one band analyzes the
+/// nest once. The ValueEnv overload delegates here.
+bool isPermutationLegal(const NodePtr &Root,
+                        const std::vector<std::string> &NewOrder,
+                        const std::vector<Dependence> &Deps);
+
 /// Loops (by node identity) in \p Root's subtree that carry no dependence
 /// and can therefore run in parallel.
 ///
@@ -48,6 +57,12 @@ bool isPermutationLegal(const NodePtr &Root,
 /// per iteration.
 std::set<const Loop *> parallelizableLoops(const NodePtr &Root,
                                            const ValueEnv &Params,
+                                           const Program *Prog = nullptr);
+
+/// The same query over \p Deps, which must be computeDependences(Root,
+/// Params). The ValueEnv overload delegates here.
+std::set<const Loop *> parallelizableLoops(const NodePtr &Root,
+                                           const std::vector<Dependence> &Deps,
                                            const Program *Prog = nullptr);
 
 /// Transient arrays accessed under the loop \p Carrier that an OpenMP-style
@@ -81,6 +96,11 @@ std::set<std::string> privatizableArraysUnder(
 /// covariance.
 bool isReductionLoop(const NodePtr &Root, const Loop *Target,
                      const ValueEnv &Params);
+
+/// The same query over \p Deps, which must be computeDependences(Root,
+/// Params): a caller that asks about several loops of one nest analyzes it
+/// once. The ValueEnv overload delegates here.
+bool isReductionLoop(const std::vector<Dependence> &Deps, const Loop *Target);
 
 /// Partition of \p L's immediate body into the finest legal distribution:
 /// strongly connected components of the body-item dependence graph, in an

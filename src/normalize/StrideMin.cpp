@@ -8,6 +8,7 @@
 
 #include "analysis/Legality.h"
 #include "analysis/Stride.h"
+#include "ir/StructuralHash.h"
 #include "transform/Permute.h"
 
 #include <algorithm>
@@ -24,34 +25,35 @@ double nestCost(const NodePtr &Root, const Program &Prog,
 }
 
 /// Finds the minimal-cost legal permutation of \p Root's perfect band by
-/// full enumeration. Ties break toward the lexicographically smallest
-/// order w.r.t. the original iterator sequence, making the pass
-/// deterministic and idempotent.
+/// full enumeration, analyzing the nest's dependences once for all orders.
+/// Ties break toward the candidate nest with the smaller structuralHash,
+/// which ignores iterator names: two nests that differ only in their
+/// spelling normalize to the same form, and the pass stays deterministic
+/// and idempotent.
 NodePtr enumerateBest(const NodePtr &Root, const Program &Prog,
                       const StrideMinOptions &Options,
                       StrideMinStats &Stats) {
   std::vector<std::shared_ptr<Loop>> Band = perfectNestBand(Root);
-  std::vector<std::string> Original;
+  std::vector<std::string> Order;
   for (const auto &L : Band)
-    Original.push_back(L->iterator());
-
-  std::vector<std::string> Order = Original;
+    Order.push_back(L->iterator());
   std::sort(Order.begin(), Order.end());
+  std::vector<Dependence> Deps = computeDependences(Root, Prog.params());
 
   NodePtr Best;
   double BestCost = 0.0;
-  std::vector<std::string> BestOrder;
+  uint64_t BestHash = 0;
   do {
     ++Stats.EnumeratedPermutations;
-    if (!isPermutationLegal(Root, Order, Prog.params()))
+    if (!isPermutationLegal(Root, Order, Deps))
       continue;
     NodePtr Candidate = applyPermutation(Root, Order);
     double Cost = nestCost(Candidate, Prog, Options);
-    if (!Best || Cost < BestCost ||
-        (Cost == BestCost && Order < BestOrder)) {
+    uint64_t Hash = structuralHash(Candidate);
+    if (!Best || Cost < BestCost || (Cost == BestCost && Hash < BestHash)) {
       Best = Candidate;
       BestCost = Cost;
-      BestOrder = Order;
+      BestHash = Hash;
     }
   } while (std::next_permutation(Order.begin(), Order.end()));
 
@@ -68,12 +70,13 @@ NodePtr sortApproximation(const NodePtr &Root, const Program &Prog,
   while (Changed) {
     Changed = false;
     std::vector<std::shared_ptr<Loop>> Band = perfectNestBand(Current);
+    std::vector<Dependence> Deps = computeDependences(Current, Prog.params());
     for (size_t I = 0; I + 1 < Band.size(); ++I) {
       std::vector<std::string> Order;
       for (const auto &L : Band)
         Order.push_back(L->iterator());
       std::swap(Order[I], Order[I + 1]);
-      if (!isPermutationLegal(Current, Order, Prog.params()))
+      if (!isPermutationLegal(Current, Order, Deps))
         continue;
       NodePtr Swapped = applyPermutation(Current, Order);
       if (nestCost(Swapped, Prog, Options) <

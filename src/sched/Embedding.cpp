@@ -98,7 +98,9 @@ PerformanceEmbedding daisy::embedNest(const NodePtr &Root,
     Reads += static_cast<double>(S.Comp->reads().size());
   }
 
-  auto Parallel = parallelizableLoops(Root, Prog.params());
+  // One analysis serves the parallel fraction and the reduction flag.
+  std::vector<Dependence> Deps = computeDependences(Root, Prog.params());
+  auto Parallel = parallelizableLoops(Root, Deps);
   auto Loops = collectLoops(Root);
   double ParallelFrac =
       Loops.empty() ? 0.0
@@ -107,7 +109,7 @@ PerformanceEmbedding daisy::embedNest(const NodePtr &Root,
   bool Reduction = false;
   for (const auto &L : Loops)
     if (!Parallel.count(L.get()))
-      Reduction |= isReductionLoop(Root, L.get(), Prog.params());
+      Reduction |= isReductionLoop(Deps, L.get());
 
   double NumStmts = static_cast<double>(Stmts.size());
   E.Features[0] = static_cast<double>(Depth);

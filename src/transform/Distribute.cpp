@@ -9,6 +9,7 @@
 #include "ir/Rewrite.h"
 
 #include <cassert>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -23,20 +24,30 @@ struct ScalarUsage {
   bool InRecurrence = false;
 };
 
+/// Calls \p Visit on every array access \p Comp reads, in the order of
+/// Computation::reads(), without copying the accesses.
+void forEachRead(const Computation &Comp,
+                 const std::function<void(const ArrayAccess &)> &Visit) {
+  visitExpr(Comp.rhs(), [&Visit](const Expr &Node) {
+    if (Node.kind() == ExprKind::Read)
+      Visit(Node.access());
+  });
+}
+
 void scanScalarUses(const std::vector<NodePtr> &Body,
                     std::map<std::string, ScalarUsage> &Usage) {
   for (size_t Item = 0; Item < Body.size(); ++Item) {
     for (const auto &C : collectComputations(Body[Item])) {
       bool WritesScalar = C->write().Indices.empty();
-      for (const ArrayAccess &R : C->reads()) {
+      forEachRead(*C, [&](const ArrayAccess &R) {
         if (!R.Indices.empty())
-          continue;
+          return;
         ScalarUsage &U = Usage[R.Array];
         if (U.FirstReadItem < 0)
           U.FirstReadItem = static_cast<int>(Item);
         if (WritesScalar && C->write().Array == R.Array)
           U.InRecurrence = true;
-      }
+      });
       if (WritesScalar) {
         ScalarUsage &U = Usage[C->write().Array];
         if (U.FirstWriteItem < 0)
@@ -52,9 +63,7 @@ int countAccesses(const NodePtr &Root, const std::string &Name) {
   for (const auto &C : collectComputations(Root)) {
     if (C->write().Array == Name)
       ++Count;
-    for (const ArrayAccess &R : C->reads())
-      if (R.Array == Name)
-        ++Count;
+    forEachRead(*C, [&](const ArrayAccess &R) { Count += R.Array == Name; });
   }
   return Count;
 }

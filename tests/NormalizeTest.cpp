@@ -175,6 +175,35 @@ TEST(StrideMinTest, PicksMinimalCostPermutation) {
   } while (std::next_permutation(Order.begin(), Order.end()));
 }
 
+TEST(StrideMinTest, TieBreakIgnoresIteratorNames) {
+  // A transpose copy costs the same with either loop outermost: one of
+  // its two accesses is contiguous either way. Renaming the iterators must
+  // not change which form normalization picks, because transfer tuning's
+  // exact lookup keys on the normalized nest's structural hash.
+  auto MakeTranspose = [](const std::string &Outer,
+                          const std::string &Inner) {
+    Program Prog("transpose");
+    Prog.addArray("A", {16, 16});
+    Prog.addArray("B", {16, 16});
+    Prog.append(forLoop(
+        Outer, 0, 16,
+        {forLoop(Inner, 0, 16,
+                 {assign("S0", "A", {ax(Outer), ax(Inner)},
+                         read("B", {ax(Inner), ax(Outer)}))})}));
+    return Prog;
+  };
+  Program IJ = MakeTranspose("i", "j");
+  Program JI = MakeTranspose("j", "i");
+  ASSERT_EQ(structuralHash(IJ), structuralHash(JI));
+  Program NormIJ = normalize(IJ);
+  Program NormJI = normalize(JI);
+  EXPECT_EQ(structuralHash(NormIJ), structuralHash(NormJI));
+  EXPECT_EQ(structuralHash(normalize(NormIJ)), structuralHash(NormIJ));
+  EXPECT_EQ(structuralHash(normalize(NormJI)), structuralHash(NormJI));
+  EXPECT_TRUE(semanticallyEquivalent(IJ, NormIJ));
+  EXPECT_TRUE(semanticallyEquivalent(JI, NormJI));
+}
+
 TEST(StrideMinTest, PreservesSemantics) {
   Program Prog = makeGemmVariant("k", "j", "i");
   Program Norm = normalize(Prog);
