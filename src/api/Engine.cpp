@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 using namespace daisy;
@@ -286,15 +287,38 @@ bool Engine::tryChargeWithEviction(size_t Bytes, uint64_t ProtectClaim) {
   }
 }
 
-Kernel Engine::finishKernel(std::shared_ptr<KernelImpl> Impl,
-                            uint64_t ProtectClaim) {
+Kernel Engine::buildKernel(const Program &Prog, const PlanOptions &Options,
+                           uint64_t Claim) {
+  std::shared_ptr<KernelImpl> Impl;
+  try {
+    // Fault site "engine.compile": an armed Throw stands in for any real
+    // plan-compilation failure.
+    (void)DAISY_FAILPOINT("engine.compile");
+    Impl = std::make_shared<KernelImpl>(Prog, Options);
+    // Tuning engines give every compiled kernel a measurement ring.
+    if (Tuner) {
+      ProfileOptions PO;
+      PO.SampleEvery = Opts.OnlineTuning.SampleEvery;
+      PO.RingSize = Opts.OnlineTuning.RingSize;
+      Impl->attachProfile(std::make_shared<KernelProfile>(PO));
+    }
+  } catch (...) {
+    if (!Opts.FallbackOnCompileError)
+      throw;
+    // Graceful degradation: the caller proceeds on a tree-walk kernel —
+    // slow but bit-identical. It is budget-accounted like any kernel and
+    // may itself come back exhausted below.
+    addStatsCounter("Engine.CompileFallbacks");
+    traceInstant(TraceCategory::Engine, "engine.compile_fallback");
+    Impl = std::make_shared<KernelImpl>(KernelImpl::Mode::TreeWalk, Prog);
+  }
   if (Budget) {
     size_t Bytes = Impl->memoryFootprint();
     // Fault site "engine.budget": a firing Trigger makes this charge act
     // as failed even when room exists, driving the exhaustion path
     // deterministically. (An armed Throw counts as forced pressure too —
-    // this function must not throw, or a cache claimant's promise would
-    // never be set.)
+    // past the compile, this function must not throw, or a cache
+    // claimant's promise would be set to an error instead of a kernel.)
     bool Forced;
     try {
       Forced = DAISY_FAILPOINT("engine.budget");
@@ -302,60 +326,31 @@ Kernel Engine::finishKernel(std::shared_ptr<KernelImpl> Impl,
       Forced = true;
     }
     bool Charged = !Forced && (Budget->tryCharge(Bytes) ||
-                               tryChargeWithEviction(Bytes, ProtectClaim));
+                               tryChargeWithEviction(Bytes, Claim));
     if (!Charged) {
       addStatsCounter("Engine.ResourceExhausted");
-      auto Ex = std::make_shared<KernelImpl>(KernelImpl::ExhaustedTag{},
-                                             Impl->Prog);
-      return Kernel(std::shared_ptr<const KernelImpl>(std::move(Ex)));
+      return Kernel(std::make_shared<const KernelImpl>(
+          KernelImpl::Mode::Exhausted, Prog));
     }
     Impl->attachBudget(Budget, Bytes);
   }
-  return Kernel(std::shared_ptr<const KernelImpl>(std::move(Impl)));
+  // Repeated run faults quarantine the kernel identity, not one compiled
+  // instance: the breaker is shared per routing key (null when
+  // quarantine is disabled), so eviction and recompilation cannot reset
+  // an open breaker.
+  Impl->attachBreaker(breakerFor(Prog));
+  // Finished (budget-charged, about to be shared): hand it to the tuner
+  // under its routing key. registerKernel skips tree-walk fallbacks.
+  if (Tuner)
+    Tuner->registerKernel(routingKey(Prog), Impl);
+  return Kernel(std::move(Impl));
 }
 
 Kernel Engine::compile(const Program &Prog, const PlanOptions &Options) {
-  // Engine-compiled kernels carry their routing key's circuit breaker
-  // (null when quarantine is disabled): repeated run-faults quarantine
-  // the kernel identity, not one compiled instance, so eviction and
-  // recompilation cannot reset an open breaker.
-  std::shared_ptr<CircuitBreaker> Breaker = breakerFor(Prog);
-  // Tuning engines give every real compiled kernel a measurement ring;
-  // after the kernel is finished (budget-charged, shared) it is handed
-  // to the tuner under its routing key. Tree-walk fallbacks and
-  // exhausted kernels are never enrolled — registerKernel skips them.
-  auto makeProfile = [&]() -> std::shared_ptr<KernelProfile> {
-    if (!Tuner)
-      return nullptr;
-    ProfileOptions PO;
-    PO.SampleEvery = Opts.OnlineTuning.SampleEvery;
-    PO.RingSize = Opts.OnlineTuning.RingSize;
-    return std::make_shared<KernelProfile>(PO);
-  };
   if (Opts.PlanCacheCapacity == 0) {
     addStatsCounter("Engine.PlanCompiles");
     TraceSpan CompileSpan(TraceCategory::Engine, "engine.compile");
-    try {
-      // Fault site "engine.compile": an armed Throw stands in for any
-      // real plan-compilation failure.
-      (void)DAISY_FAILPOINT("engine.compile");
-      auto Impl = std::make_shared<KernelImpl>(Prog, Options);
-      Impl->attachBreaker(Breaker);
-      Impl->attachProfile(makeProfile());
-      Kernel K = finishKernel(std::move(Impl), 0);
-      if (Tuner)
-        Tuner->registerKernel(routingKey(Prog), K.Impl);
-      return K;
-    } catch (...) {
-      if (!Opts.FallbackOnCompileError)
-        throw;
-      addStatsCounter("Engine.CompileFallbacks");
-      traceInstant(TraceCategory::Engine, "engine.compile_fallback");
-      auto Impl =
-          std::make_shared<KernelImpl>(KernelImpl::TreeWalkTag{}, Prog);
-      Impl->attachBreaker(std::move(Breaker));
-      return finishKernel(std::move(Impl), 0);
-    }
+    return buildKernel(Prog, Options, 0);
   }
   uint64_t Key = planKey(Prog, Options);
   // First requester of a key claims it by inserting a pending future and
@@ -411,57 +406,32 @@ Kernel Engine::compile(const Program &Prog, const PlanOptions &Options) {
                Key);
   if (CompileHere) {
     TraceSpan CompileSpan(TraceCategory::Engine, "engine.compile", Key);
-    // A failed compile must not poison the cache either way: erase only
-    // this thread's own claim — the entry at Key may meanwhile be a
-    // different claimant's (ours evicted, key re-claimed).
-    auto eraseOwnClaim = [&] {
+    Kernel K;
+    std::exception_ptr Failed;
+    try {
+      K = buildKernel(Prog, Options, MyClaim);
+    } catch (...) {
+      Failed = std::current_exception();
+    }
+    // Only a real compiled kernel keeps the key. A failed build (waiters
+    // get the error), an exhausted kernel, or a tree-walk fallback is
+    // handed to this attempt's waiters but forgotten by the cache, so the
+    // next compile of the key retries for real once the fault or the
+    // budget pressure subsides. Erase only this thread's own claim — the
+    // entry at Key may meanwhile be a different claimant's (ours evicted,
+    // key re-claimed).
+    if (Failed || K.isExhausted() || K.isTreeWalk()) {
       std::lock_guard<std::mutex> Lock(CacheMutex);
       auto It = PlanCache.find(Key);
       if (It != PlanCache.end() && It->second.Claim == MyClaim) {
         lruUnlink(&It->second);
         PlanCache.erase(It);
       }
-    };
-    try {
-      // Fault site "engine.compile": an armed Throw stands in for any
-      // real plan-compilation failure.
-      (void)DAISY_FAILPOINT("engine.compile");
-      auto Impl = std::make_shared<KernelImpl>(Prog, Options);
-      Impl->attachBreaker(Breaker);
-      Impl->attachProfile(makeProfile());
-      Kernel K = finishKernel(std::move(Impl), MyClaim);
-      // An exhausted kernel is never cached: the next compile of the key
-      // retries once budget pressure subsides, mirroring how compile
-      // fallbacks forget their key. Waiters of this attempt still get
-      // the exhausted kernel — their requests surface ResourceExhausted.
-      if (K.isExhausted())
-        eraseOwnClaim();
-      else if (Tuner)
-        Tuner->registerKernel(routingKey(Prog), K.Impl);
-      Claimed.set_value(std::move(K));
-    } catch (...) {
-      if (!Opts.FallbackOnCompileError) {
-        // Do not leave a forever-broken promise in the cache: waiters
-        // get the real error, later requests recompile from scratch.
-        eraseOwnClaim();
-        Claimed.set_exception(std::current_exception());
-      } else {
-        // Graceful degradation: waiters (and this caller) proceed on a
-        // tree-walk kernel — slow but bit-identical — while the cache
-        // forgets the key, so the next compile retries for real instead
-        // of pinning the degraded kernel until eviction. Transient
-        // failures self-heal; persistent ones keep serving degraded.
-        // The fallback is budget-accounted like any kernel and may
-        // itself come back exhausted (finishKernel never throws).
-        addStatsCounter("Engine.CompileFallbacks");
-        traceInstant(TraceCategory::Engine, "engine.compile_fallback", Key);
-        eraseOwnClaim();
-        auto Impl =
-            std::make_shared<KernelImpl>(KernelImpl::TreeWalkTag{}, Prog);
-        Impl->attachBreaker(std::move(Breaker));
-        Claimed.set_value(finishKernel(std::move(Impl), MyClaim));
-      }
     }
+    if (Failed)
+      Claimed.set_exception(Failed);
+    else
+      Claimed.set_value(std::move(K));
   }
   return Result.get();
 }

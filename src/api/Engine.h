@@ -259,13 +259,25 @@ public:
   static uint64_t routingKey(const Program &Prog);
 
 private:
-  /// Wraps a freshly built impl into a Kernel, charging its footprint
-  /// against the budget first (evicting plan-cache LRU tails under
-  /// pressure, never the entry claimed by \p ProtectClaim). When nothing
-  /// can make room — or the "engine.budget" fail point forces the charge
-  /// to fail — returns a resource-exhausted kernel instead. No-op
-  /// pass-through when no budget is configured.
-  Kernel finishKernel(std::shared_ptr<KernelImpl> Impl, uint64_t ProtectClaim);
+  /// The one place compile() builds a kernel, cached or not:
+  ///
+  /// 1. Compiles \p Prog under \p Options into a Plan-mode kernel (with a
+  ///    tuner profile on tuning engines). When compilation throws — or
+  ///    the "engine.compile" fail point does — the exception propagates
+  ///    unless EngineOptions::FallbackOnCompileError, which builds a
+  ///    tree-walk kernel instead ("Engine.CompileFallbacks").
+  /// 2. With a memory budget, charges the kernel's footprint, evicting
+  ///    plan-cache LRU tails under pressure but never the entry claimed
+  ///    by \p Claim (0 when uncached). When nothing can make room — or
+  ///    the "engine.budget" fail point forces the charge to fail —
+  ///    returns a resource-exhausted kernel instead.
+  /// 3. Attaches the routing key's circuit breaker and registers the
+  ///    kernel with the tuner.
+  ///
+  /// The caller decides caching: compile()'s cached branch keeps the key
+  /// only for a Plan-mode result.
+  Kernel buildKernel(const Program &Prog, const PlanOptions &Options,
+                     uint64_t Claim);
   bool tryChargeWithEviction(size_t Bytes, uint64_t ProtectClaim);
   void loadCheckpointAtConstruction();
   void checkpointLoop();

@@ -2,9 +2,10 @@
 //
 // Part of the daisy project. MIT license.
 //
-// Kernel::bind and the BoundArgs overload of run are defined in
-// serve/BoundArgs.cpp, next to the BoundArgs class they return/consume —
-// api stays free of upward includes (see api/KernelImpl.h).
+// Kernel::bind and the BoundArgs overloads of run and runBatch are
+// defined in serve/BoundArgs.cpp, next to the BoundArgs class they
+// return/consume — api stays free of upward includes (see
+// api/KernelImpl.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "api/KernelImpl.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace daisy;
 
@@ -21,13 +23,17 @@ Kernel Kernel::compile(const Program &Prog, const PlanOptions &Options) {
 }
 
 Kernel Kernel::treeWalk(const Program &Prog) {
-  return Kernel(
-      std::make_shared<const KernelImpl>(KernelImpl::TreeWalkTag{}, Prog));
+  return Kernel(std::make_shared<const KernelImpl>(KernelImpl::Mode::TreeWalk,
+                                                   Prog));
 }
 
-bool Kernel::isTreeWalk() const { return Impl && Impl->TreeWalk; }
+bool Kernel::isTreeWalk() const {
+  return Impl && Impl->RunMode == KernelImpl::Mode::TreeWalk;
+}
 
-bool Kernel::isExhausted() const { return Impl && Impl->Exhausted; }
+bool Kernel::isExhausted() const {
+  return Impl && Impl->RunMode == KernelImpl::Mode::Exhausted;
+}
 
 size_t Kernel::memoryBytes() const {
   assert(Impl && "empty kernel handle");
@@ -41,7 +47,10 @@ const Program &Kernel::program() const {
 
 const ExecPlan &Kernel::plan() const {
   assert(Impl && "empty kernel handle");
-  return Impl->Plan;
+  if (!Impl->Plan)
+    throw std::logic_error("Kernel::plan: a tree-walk or resource-exhausted "
+                           "kernel has no compiled plan");
+  return *Impl->Plan;
 }
 
 size_t Kernel::contextPoolSize() const {
@@ -57,29 +66,25 @@ RunStatus Kernel::run(const ArgBinding &Args) const {
   if (std::string Error = resolveBinding(Impl->Prog, Args, Slots);
       !Error.empty())
     return {std::move(Error)};
-  if (Impl->Exhausted)
-    return RunStatus::resourceExhausted();
   // Status-returning runs go through the self-protection layer: the
-  // "kernel.run" fault site, and — for Engine-compiled kernels — the
-  // circuit breaker with tree-walk healing (api/KernelImpl.h).
+  // exhausted-kernel check, the "kernel.run" fault site, and — for
+  // Engine-compiled kernels — the circuit breaker with tree-walk healing
+  // (api/KernelImpl.h).
   return runGuardedSlots(*Impl, Slots.data());
 }
 
 void Kernel::run(DataEnv &Env) const {
   assert(Impl && "empty kernel handle");
-  assert(!Impl->Exhausted &&
-         "resource-exhausted kernel cannot execute; use the status-"
-         "returning run forms, which report ResourceExhausted");
+  if (Impl->RunMode == KernelImpl::Mode::Exhausted)
+    throw std::runtime_error(RunStatus::resourceExhausted().Error);
   assert(Env.slotCount() == Impl->Prog.arrays().size() &&
          "environment was not allocated for this kernel's program");
-  if (Impl->TreeWalk) {
-    // Degraded kernel: the environment already is the interpreter's
-    // native storage, so no staging is needed.
-    interpretTreeWalk(Impl->Prog, Env);
-    return;
-  }
-  PooledContext Ctx(*Impl);
-  Impl->Plan.run(Env, Ctx->Exec);
+  // Every slot is bound, so the dispatch uses the environment's transient
+  // buffers as they are instead of zeroed scratch.
+  std::vector<BufferRef> Slots(Env.slotCount());
+  for (size_t S = 0; S < Slots.size(); ++S)
+    Slots[S] = {Env.bufferAt(S).data(), Env.bufferAt(S).size()};
+  runPreparedSlots(*Impl, Slots.data());
 }
 
 DataEnv Kernel::run(uint64_t Seed) const {

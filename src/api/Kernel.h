@@ -23,8 +23,11 @@
 /// kernel serves any number of threads with results bit-identical to
 /// serial execution.
 ///
-/// Three run forms, from fastest to most convenient:
+/// Five run forms, from fastest to most convenient:
 ///
+/// - runBatch(BoundArgs..., Lease): the serving runtime's coalesced
+///   dispatch — many prepared argument sets on one lane-held context.
+/// - run(BoundArgs): one prepared argument set, validated once by bind().
 /// - run(ArgBinding): zero-copy — the caller owns every observable
 ///   array's storage and the plan executes directly on it. Bindings are
 ///   validated against the program's array declarations (unknown names,
@@ -35,6 +38,11 @@
 ///   classic interpret() contract).
 /// - run(Seed): allocates an environment, fills it deterministically, and
 ///   returns it (the classic runProgram() contract).
+///
+/// The first three report failures as a RunStatus; the two DataEnv forms
+/// have no status and throw instead. Every form executes through the same
+/// dispatch, so a tree-walk kernel and a hot-swapped plan behave the same
+/// on each of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -176,14 +184,16 @@ public:
   /// even after evicting the plan cache. Such a kernel still validates
   /// and binds arguments, but every run(ArgBinding)/run(BoundArgs)/
   /// runBatch entry completes with RunStatus::ResourceExhausted instead
-  /// of executing. The key is not cached, so a later compile (after
-  /// pressure subsides) retries for real.
+  /// of executing, and run(DataEnv&)/run(Seed) throw std::runtime_error
+  /// with that status's message; no form touches the caller's data. The
+  /// key is not cached, so a later compile (after pressure subsides)
+  /// retries for real.
   bool isExhausted() const;
 
   /// Estimated bytes of engine-retained memory this kernel accounts for
   /// against an engine budget: the program snapshot plus the compiled
-  /// plan (or the tree-walk environment template). Pooled run contexts
-  /// are charged separately as they are retained.
+  /// plan (a tree-walk kernel charges only its program). Pooled run
+  /// contexts are charged separately as they are retained.
   size_t memoryBytes() const;
 
   explicit operator bool() const { return Impl != nullptr; }
@@ -192,7 +202,9 @@ public:
   /// produced by Engine::optimize).
   const Program &program() const;
 
-  /// The compiled execution plan (stats, thread count).
+  /// The compiled execution plan (stats, thread count). Requires a
+  /// compiled kernel: throws std::logic_error when isTreeWalk() or
+  /// isExhausted(), which have no plan.
   const ExecPlan &plan() const;
 
   /// Zero-copy execution on caller-owned buffers. Validates \p Args
@@ -217,21 +229,16 @@ public:
   RunStatus run(const BoundArgs &Args) const;
 
   /// Micro-batch execution: runs \p Count prepared argument sets
-  /// back-to-back on a single pooled context, writing one status per
-  /// request to \p Statuses. Semantically identical to \p Count run()
+  /// back-to-back on one pooled context, writing one status per request
+  /// to \p Statuses. Semantically identical to \p Count run(BoundArgs)
   /// calls (requests are independent; non-ok or stale entries fail their
   /// status without disturbing the rest) but pays one context
   /// acquisition for the whole batch — the serving runtime's coalesced
-  /// dispatch. Defined in serve/BoundArgs.cpp.
-  void runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
-                size_t Count) const;
-
-  /// runBatch with lane context affinity: the pooled context is kept in
-  /// \p Lease between calls instead of returned after each batch, so
-  /// consecutive same-kernel batches on one serving lane reuse a warm
-  /// context with no pool round-trip. A lease held for a different
-  /// kernel is transparently returned and re-borrowed. Semantically
-  /// identical to runBatch above. Defined in serve/BoundArgs.cpp.
+  /// dispatch. The context stays in \p Lease between calls instead of
+  /// returning to the pool, so consecutive same-kernel batches on one
+  /// serving lane reuse a warm context with no pool round-trip; a lease
+  /// held for another kernel is returned to that kernel's pool and
+  /// re-borrowed from this one. Defined in serve/BoundArgs.cpp.
   void runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
                 size_t Count, RunContextLease &Lease) const;
 
@@ -242,11 +249,12 @@ public:
 
   /// Executes on \p Env, which must have been allocated for this
   /// kernel's program (DataEnv slot order is the contract). Thread-safe
-  /// for distinct environments.
+  /// for distinct environments. Throws std::runtime_error, leaving \p Env
+  /// untouched, on an exhausted kernel.
   void run(DataEnv &Env) const;
 
   /// Deterministic-init convenience: allocates an environment, fills it
-  /// from \p Seed, runs, and returns it.
+  /// from \p Seed, runs, and returns it. Throws like run(DataEnv&).
   DataEnv run(uint64_t Seed = 1) const;
 
   /// Number of idle pooled run contexts (observability; grows to the peak

@@ -96,19 +96,24 @@ struct PlanVersion {
 /// compiled plan, and a pool of reusable per-run contexts. The program
 /// and plan are immutable after construction; the pool is mutex-guarded.
 ///
-/// A kernel comes in three flavors. The normal one executes through a
-/// compiled ExecPlan. The degraded one (TreeWalkTag, behind
-/// Kernel::treeWalk and the Engine compile-fallback) executes through the
-/// reference tree-walking interpreter instead: Plan then holds a plan for
-/// an empty placeholder program (never run) so the member can stay
-/// immutable, and every run path branches on the TreeWalk flag. The two
-/// flavors are bit-identical by construction — the tree-walker *is* the
-/// semantics the ExecPlan contract is differentially tested against.
-/// The third (ExhaustedTag) exists only when an Engine memory budget
-/// could not retain the kernel: it binds and validates like any other,
-/// but its prepared run paths complete with RunStatus::ResourceExhausted
-/// instead of executing, and it holds no plan or pooled contexts worth
-/// accounting.
+/// How a kernel executes is one Mode, fixed at construction:
+///
+/// - Plan: through its compiled ExecPlan (or a hot-swapped PlanVersion).
+///   Kernel::compile and a successful Engine compile build these; Plan is
+///   non-null only in this mode.
+/// - TreeWalk: through the reference tree-walking interpreter, staging
+///   the caller's buffers into a pooled DataEnv. Kernel::treeWalk and the
+///   Engine's compile fallback (Engine::buildKernel) build these. Results
+///   are bit-identical to Plan mode by construction — the tree-walker *is*
+///   the semantics the ExecPlan contract is differentially tested against.
+/// - Exhausted: never executes. Engine::buildKernel returns one when the
+///   memory budget cannot retain the kernel. It binds and validates like
+///   any other, then runGuardedSlotsOn completes it with
+///   RunStatus::ResourceExhausted and Kernel::run(DataEnv&) throws.
+///
+/// Every run form reaches runPreparedSlotsOn, the one place that turns
+/// the mode into an engine; runGuardedSlotsOn is the one place that
+/// refuses an exhausted kernel.
 ///
 /// When an Engine hands the impl a MemoryBudget (attachBudget, before the
 /// impl is shared), the kernel participates in byte accounting: SelfBytes
@@ -120,18 +125,18 @@ struct PlanVersion {
 /// exceeds the budget limit at any instant.
 class KernelImpl {
 public:
+  enum class Mode : uint8_t { Plan, TreeWalk, Exhausted };
+
+  /// A Plan-mode kernel: compiles \p P under \p Options.
   KernelImpl(const Program &P, const PlanOptions &Options)
-      : Prog(P.clone()), Plan(ExecPlan::compile(Prog, Options)) {}
+      : Prog(P.clone()), Plan(std::make_unique<const ExecPlan>(
+                             ExecPlan::compile(Prog, Options))),
+        RunMode(Mode::Plan) {}
 
-  struct TreeWalkTag {};
-  KernelImpl(TreeWalkTag, const Program &P)
-      : Prog(P.clone()), Plan(ExecPlan::compile(Program("__fallback__"))),
-        TreeWalk(true) {}
-
-  struct ExhaustedTag {};
-  KernelImpl(ExhaustedTag, const Program &P)
-      : Prog(P.clone()), Plan(ExecPlan::compile(Program("__exhausted__"))),
-        Exhausted(true) {}
+  /// A kernel without a plan: \p M is TreeWalk or Exhausted.
+  KernelImpl(Mode M, const Program &P) : Prog(P.clone()), RunMode(M) {
+    assert(M != Mode::Plan && "a Plan-mode kernel needs plan options");
+  }
 
   ~KernelImpl() {
     if (!Budget)
@@ -178,12 +183,12 @@ public:
   /// charged per context as they are retained.
   size_t memoryFootprint() const {
     return sizeof(KernelImpl) + programMemoryBytes(Prog) +
-           (TreeWalk || Exhausted ? 0 : Plan.memoryBytes());
+           (Plan ? Plan->memoryBytes() : 0);
   }
 
   /// One run's worth of reusable state: the exec-layer scratch, the slot
   /// table of the zero-copy path, kernel-managed transient storage (per
-  /// slot; empty vectors for caller-bound slots), and — tree-walk kernels
+  /// slot; empty vectors for caller-bound slots), and — tree-walk runs
   /// only — a pooled interpreter environment so degraded runs reuse
   /// buffers instead of reallocating a DataEnv per request.
   struct RunContext {
@@ -353,9 +358,8 @@ public:
   }
 
   const Program Prog;
-  const ExecPlan Plan;
-  const bool TreeWalk = false;
-  const bool Exhausted = false;
+  const std::unique_ptr<const ExecPlan> Plan; ///< Null unless Mode::Plan.
+  const Mode RunMode;
 
 private:
   /// Budget accounting (null when the owning Engine has no budget).
@@ -505,68 +509,54 @@ inline void runTreeWalkSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
     }
 }
 
-/// Executes \p Impl's plan on a resolved slot table (as produced by
-/// resolveBinding) reusing \p Ctx's allocations: caller-bound slots are
-/// used as-is, null slots must be transient and are filled with
-/// kernel-managed scratch zeroed each run so semantics match a freshly
-/// allocated DataEnv. Serving micro-batches call this once per request on
-/// a single borrowed context. Tree-walk kernels take the interpreter
-/// route instead (same observable results, bit for bit).
+/// The one run dispatch: executes \p Impl on a slot table (as produced by
+/// resolveBinding, or a DataEnv's buffers) reusing \p Ctx's allocations.
+/// A TreeWalk kernel takes the interpreter route (same observable
+/// results, bit for bit); a Plan kernel runs its resolved hot-swap
+/// version, or else the base plan through the identity slot map.
+/// Caller-bound slots are used as-is; null slots and version-local slots
+/// (SlotMap -1) must be transient and get kernel-managed scratch zeroed
+/// each run, so semantics match a freshly allocated DataEnv. Serving
+/// micro-batches call this once per request on a single borrowed context.
+/// An Exhausted kernel never gets here: runGuardedSlotsOn and
+/// Kernel::run(DataEnv&) refuse it first.
 inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
-  if (Impl.TreeWalk)
+  assert(Impl.RunMode != KernelImpl::Mode::Exhausted &&
+         "exhausted kernels are refused before dispatch");
+  if (Impl.RunMode == KernelImpl::Mode::TreeWalk)
     return runTreeWalkSlotsOn(Impl, Slots, Ctx);
-  // Hot-swap dispatch: a non-null resolved version executes instead of
-  // the base plan, remapping the caller's base-slot table through the
-  // version's SlotMap. Base slots that are null (base transients) and
-  // unmapped version slots (-1) are version-managed scratch, zeroed per
-  // run like any transient.
-  if (const PlanVersion *V = Impl.resolveVersion(Ctx)) {
-    const std::vector<ArrayDecl> &Arrays = V->Prog.arrays();
-    Ctx.Slots.resize(Arrays.size());
-    if (Ctx.Transients.size() < Arrays.size())
-      Ctx.Transients.resize(Arrays.size());
-    for (size_t S = 0; S < Arrays.size(); ++S) {
-      int32_t Base = V->SlotMap.empty() ? static_cast<int32_t>(S)
-                                        : V->SlotMap[S];
-      if (Base >= 0 && Slots[Base].Data) {
-        Ctx.Slots[S] = Slots[Base];
-        continue;
-      }
-      assert(Arrays[S].Transient &&
-             "unmapped version slot for a caller-bound array");
-      std::vector<double> &Buf = Ctx.Transients[S];
-      Buf.assign(boundElementCount(Arrays[S]), 0.0);
-      Ctx.Slots[S] = {Buf.data(), Buf.size()};
-    }
-    V->Plan.run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
-    return;
-  }
-  const std::vector<ArrayDecl> &Arrays = Impl.Prog.arrays();
+  const PlanVersion *V = Impl.resolveVersion(Ctx);
+  const std::vector<ArrayDecl> &Arrays = (V ? V->Prog : Impl.Prog).arrays();
+  const std::vector<int32_t> *Map =
+      V && !V->SlotMap.empty() ? &V->SlotMap : nullptr;
   Ctx.Slots.resize(Arrays.size());
-  Ctx.Transients.resize(Arrays.size());
+  if (Ctx.Transients.size() < Arrays.size())
+    Ctx.Transients.resize(Arrays.size());
   for (size_t S = 0; S < Arrays.size(); ++S) {
-    if (Slots[S].Data) {
-      Ctx.Slots[S] = Slots[S];
+    int32_t Base = Map ? (*Map)[S] : static_cast<int32_t>(S);
+    if (Base >= 0 && Slots[Base].Data) {
+      Ctx.Slots[S] = Slots[Base];
       continue;
     }
-    assert(Arrays[S].Transient && "null slot for a caller-bound array");
+    assert(Arrays[S].Transient && "unbound slot for a caller-bound array");
     std::vector<double> &Buf = Ctx.Transients[S];
     Buf.assign(boundElementCount(Arrays[S]), 0.0);
     Ctx.Slots[S] = {Buf.data(), Buf.size()};
   }
-  Impl.Plan.run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
+  (V ? V->Plan : *Impl.Plan).run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
 }
 
 /// runPreparedSlotsOn plus the tuner's measurement tap: when a profile is
 /// attached and the 1-in-SampleEvery gate fires, the run is timed and the
 /// (version, nanoseconds) sample recorded into the lock-free ring. The
 /// sampled version id is read from the context's pinned resolve, so a
-/// concurrent swap cannot mislabel the sample.
+/// concurrent swap cannot mislabel the sample. Only Plan-mode kernels
+/// carry a profile (Engine::buildKernel).
 inline void runProfiledSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
   const KernelProfile *Prof = Impl.profile();
-  if (!Prof || Impl.TreeWalk || !Prof->shouldSample())
+  if (!Prof || !Prof->shouldSample())
     return runPreparedSlotsOn(Impl, Slots, Ctx);
   auto T0 = std::chrono::steady_clock::now();
   runPreparedSlotsOn(Impl, Slots, Ctx);
@@ -585,8 +575,10 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 
 /// One prepared run through the self-protection layer — what every
 /// status-returning run form (run(ArgBinding), run(BoundArgs), runBatch)
-/// dispatches through:
+/// dispatches through, after its binding checks:
 ///
+/// - An Exhausted kernel completes with RunStatus::ResourceExhausted
+///   before any fail point is evaluated.
 /// - Fault site "kernel.run": a firing Trigger injects a run fault (the
 ///   plan "crashed"); Delay keeps its slow-kernel meaning.
 /// - A fault on a breakered kernel (Engine-compiled) is recorded against
@@ -607,40 +599,38 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
                                    const BufferRef *Slots,
                                    KernelImpl::RunContext &Ctx) {
+  if (Impl.RunMode == KernelImpl::Mode::Exhausted)
+    return RunStatus::resourceExhausted();
   CircuitBreaker *Breaker = Impl.breaker();
-  if (!Breaker) {
+  CircuitBreaker::Gate G = CircuitBreaker::Gate::Allow;
+  if (Breaker) {
+    bool ForceOpen;
     try {
-      if (DAISY_FAILPOINT("kernel.run"))
-        throw std::runtime_error("injected fault at fail point 'kernel.run'");
-      runProfiledSlotsOn(Impl, Slots, Ctx);
-      return {};
-    } catch (const std::exception &E) {
-      return RunStatus::faulted(E.what());
+      ForceOpen = DAISY_FAILPOINT("engine.quarantine");
+    } catch (...) {
+      ForceOpen = true; // An armed Throw here is a force too.
     }
-  }
-  bool ForceOpen;
-  try {
-    ForceOpen = DAISY_FAILPOINT("engine.quarantine");
-  } catch (...) {
-    ForceOpen = true; // An armed Throw here is a force too.
-  }
-  CircuitBreaker::Gate G = Breaker->admit(ForceOpen);
-  if (G == CircuitBreaker::Gate::Reroute) {
-    addStatsCounter("Engine.QuarantineReroutes");
-    try {
-      runTreeWalkSlotsOn(Impl, Slots, Ctx);
-      return {};
-    } catch (const std::exception &E) {
-      return RunStatus::faulted(E.what());
+    G = Breaker->admit(ForceOpen);
+    if (G == CircuitBreaker::Gate::Reroute) {
+      addStatsCounter("Engine.QuarantineReroutes");
+      try {
+        runTreeWalkSlotsOn(Impl, Slots, Ctx);
+        return {};
+      } catch (const std::exception &E) {
+        return RunStatus::faulted(E.what());
+      }
     }
   }
   try {
     if (DAISY_FAILPOINT("kernel.run"))
       throw std::runtime_error("injected fault at fail point 'kernel.run'");
     runProfiledSlotsOn(Impl, Slots, Ctx);
-    Breaker->recordSuccess(G);
+    if (Breaker)
+      Breaker->recordSuccess(G);
     return {};
   } catch (const std::exception &E) {
+    if (!Breaker)
+      return RunStatus::faulted(E.what());
     Breaker->recordFailure(G);
     addStatsCounter("Engine.RunFaults");
     try {

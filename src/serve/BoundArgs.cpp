@@ -2,7 +2,7 @@
 //
 // Part of the daisy project. MIT license.
 //
-// Defines the two Kernel members that produce/consume BoundArgs. They are
+// Defines the Kernel members that produce/consume BoundArgs. They are
 // declared in api/Kernel.h (the natural call-site surface) but defined
 // here so the api layer never includes serve headers; this file sees both
 // sides through the library-private api/KernelImpl.h.
@@ -46,54 +46,11 @@ RunStatus Kernel::run(const BoundArgs &Args) const {
     return invalidBoundArgsStatus(Args);
   if (Args.Bound.get() != Impl.get())
     return staleStatus();
-  if (Impl->Exhausted)
-    return RunStatus::resourceExhausted();
-  // The guarded path owns the "kernel.run" fault site (an armed Delay
-  // makes this kernel slow, a Trigger injects a run fault) and the
-  // circuit-breaker quarantine of Engine-compiled kernels.
+  // The guarded path refuses an exhausted kernel, owns the "kernel.run"
+  // fault site (an armed Delay makes this kernel slow, a Trigger injects
+  // a run fault) and the circuit-breaker quarantine of Engine-compiled
+  // kernels.
   return runGuardedSlots(*Impl, Args.Slots.data());
-}
-
-namespace {
-
-/// The shared body of both runBatch forms: \p Count independent guarded
-/// runs on one warm context.
-void runBatchOn(const KernelImpl &Impl, const BoundArgs *const *Args,
-                RunStatus *Statuses, size_t Count,
-                KernelImpl::RunContext &Ctx) {
-  for (size_t I = 0; I < Count; ++I) {
-    const BoundArgs &A = *Args[I];
-    if (!A.ok()) {
-      Statuses[I] = invalidBoundArgsStatus(A);
-      continue;
-    }
-    if (A.kernelToken() != &Impl) {
-      Statuses[I] = staleStatus();
-      continue;
-    }
-    if (Impl.Exhausted) {
-      Statuses[I] = RunStatus::resourceExhausted();
-      continue;
-    }
-    // Same guarded path as single runs: the "kernel.run" fault site and
-    // the breaker fire per request, not per dispatch, so a batch of a
-    // slow or poisoned kernel behaves like its requests submitted alone.
-    Statuses[I] = runGuardedSlotsOn(Impl, A.slots().data(), Ctx);
-  }
-}
-
-} // namespace
-
-void Kernel::runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
-                      size_t Count) const {
-  assert(Impl && "empty kernel handle");
-  // One pooled context serves the whole batch: same-kernel requests are
-  // the common case in a serving micro-batch, so the register file, tape
-  // stack, slot table, and transient scratch stay warm from request to
-  // request (transients are still re-zeroed per request — semantics are
-  // exactly Count independent run() calls).
-  PooledContext Ctx(*Impl);
-  runBatchOn(*Impl, Args, Statuses, Count, *Ctx);
 }
 
 void RunContextLease::reset() {
@@ -109,12 +66,30 @@ void Kernel::runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
   assert(Impl && "empty kernel handle");
   // Lane affinity: keep the borrowed context across dispatches while the
   // lane stays on one kernel; switch kernels by returning it to its
-  // owner's pool and borrowing from the new one.
+  // owner's pool and borrowing from the new one. Within a batch the
+  // register file, tape stack, slot table, and transient scratch stay
+  // warm from request to request (transients are still re-zeroed per
+  // request — semantics are exactly Count independent run() calls).
   if (Lease.Owner.get() != Impl.get()) {
     Lease.reset();
     Lease.Owner = Impl;
     Lease.Ctx = Impl->acquire().release();
   }
-  runBatchOn(*Impl, Args, Statuses, Count,
-             *static_cast<KernelImpl::RunContext *>(Lease.Ctx));
+  auto &Ctx = *static_cast<KernelImpl::RunContext *>(Lease.Ctx);
+  for (size_t I = 0; I < Count; ++I) {
+    const BoundArgs &A = *Args[I];
+    if (!A.ok()) {
+      Statuses[I] = invalidBoundArgsStatus(A);
+      continue;
+    }
+    if (A.kernelToken() != Impl.get()) {
+      Statuses[I] = staleStatus();
+      continue;
+    }
+    // Same guarded path as single runs: the exhausted check, the
+    // "kernel.run" fault site and the breaker apply per request, not per
+    // dispatch, so a batch of a slow or poisoned kernel behaves like its
+    // requests submitted alone.
+    Statuses[I] = runGuardedSlotsOn(*Impl, A.slots().data(), Ctx);
+  }
 }

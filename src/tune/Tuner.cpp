@@ -114,7 +114,7 @@ void OnlineTuner::laneLoop() {
 
 void OnlineTuner::registerKernel(uint64_t RoutingKey,
                                  std::shared_ptr<const KernelImpl> Impl) {
-  if (!Impl || Impl->TreeWalk || Impl->Exhausted)
+  if (!Impl || Impl->RunMode != KernelImpl::Mode::Plan)
     return;
   std::lock_guard<std::mutex> Lock(RegMutex);
   auto It = Registry.find(RoutingKey);

@@ -124,7 +124,9 @@ public:
   /// Tracks a freshly compiled kernel under its routing key. Re-register
   /// of the same key (plan-cache eviction recompiled it) rebinds the
   /// entry to the new instance and abandons any in-flight probe state —
-  /// the old impl keeps its plan until the last handle drops.
+  /// the old impl keeps its plan until the last handle drops. Kernels
+  /// without a plan (tree-walk fallbacks, exhausted kernels) are skipped:
+  /// there is nothing to swap.
   void registerKernel(uint64_t RoutingKey,
                       std::shared_ptr<const KernelImpl> Impl);
 

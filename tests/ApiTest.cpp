@@ -16,6 +16,10 @@
 // - concurrent Kernel::run calls from many threads, on caller-owned
 //   buffers and on pooled deterministic environments, are bit-identical
 //   to serial execution (this suite runs under ThreadSanitizer in CI);
+// - every run form agrees in every kernel mode: compiled and tree-walk
+//   kernels are bit-identical, and an exhausted kernel reports
+//   ResourceExhausted (status forms) or throws (void forms) without
+//   touching the caller's data;
 // - Engine::optimize chains normalization, idiom replacement, and
 //   transfer tuning into a runnable kernel that preserves semantics.
 //
@@ -33,6 +37,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,7 +66,9 @@ Program makeGemm(const std::string &O1, const std::string &O2,
 
 /// A two-nest program whose first nest writes a transient temporary the
 /// second consumes — the shape transformations produce via scalar
-/// expansion. Exercises kernel-managed transient scratch.
+/// expansion. Exercises kernel-managed transient scratch: the first nest
+/// accumulates into Tmp, so Out = 2 * In + 1 only when the scratch starts
+/// each run zeroed.
 Program makeTransientProgram(int N) {
   Program Prog("transient");
   Prog.addArray("In", {N});
@@ -68,7 +76,8 @@ Program makeTransientProgram(int N) {
   Prog.addArray("Tmp", {N}, /*Transient=*/true);
   Prog.append(forLoop("i", 0, N,
                       {assign("S0", "Tmp", {ax("i")},
-                              read("In", {ax("i")}) * lit(2.0))}));
+                              read("Tmp", {ax("i")}) +
+                                  read("In", {ax("i")}) * lit(2.0))}));
   Prog.append(forLoop("i", 0, N,
                       {assign("S1", "Out", {ax("i")},
                               read("Tmp", {ax("i")}) + lit(1.0))}));
@@ -86,6 +95,15 @@ void fillLikeDataEnv(const Program &Prog, uint64_t Seed,
   for (const ArrayDecl &Decl : Prog.arrays())
     if (!Decl.Transient)
       Buffers.emplace_back(Decl.Name, Env.buffer(Decl.Name));
+}
+
+/// Binds every buffer filled by fillLikeDataEnv.
+ArgBinding bindAll(std::vector<std::pair<std::string, std::vector<double>>>
+                       &Buffers) {
+  ArgBinding Args;
+  for (auto &[Name, Storage] : Buffers)
+    Args.bind(Name, Storage);
+  return Args;
 }
 
 } // namespace
@@ -182,6 +200,42 @@ TEST(PlanCacheTest, ClearInvalidatesAndLruEvicts) {
   Before = statsCounter("Engine.PlanCompiles");
   Eng.compile(P1);
   EXPECT_EQ(statsCounter("Engine.PlanCompiles"), Before + 1);
+}
+
+TEST(PlanCacheTest, ZeroCapacityBuildsEveryKernelWithoutCaching) {
+  EngineOptions Options;
+  Options.PlanCacheCapacity = 0;
+  Program Prog = makeGemm("i", "j", "k", 8);
+  {
+    Engine Eng(Options);
+    int64_t Before = statsCounter("Engine.PlanCompiles");
+    Kernel K1 = Eng.compile(Prog);
+    Kernel K2 = Eng.compile(Prog);
+    EXPECT_NE(&K1.plan(), &K2.plan());
+    EXPECT_EQ(Eng.planCacheSize(), 0u);
+    EXPECT_EQ(statsCounter("Engine.PlanCompiles"), Before + 2);
+  }
+
+  // The uncached build degrades, propagates, and runs out of budget the
+  // same way the cached miss does.
+  FailPointConfig Throws;
+  Throws.Action = FailAction::Throw;
+  armFailPoint("engine.compile", Throws, /*Seed=*/1);
+  {
+    Engine Eng(Options);
+    EXPECT_TRUE(Eng.compile(Prog).isTreeWalk());
+  }
+  Options.FallbackOnCompileError = false;
+  {
+    Engine Eng(Options);
+    EXPECT_THROW((void)Eng.compile(Prog), std::runtime_error);
+  }
+  disarmFailPoint("engine.compile");
+  Options.FallbackOnCompileError = true;
+  Options.MemoryBudgetBytes = 1;
+  Engine Eng(Options);
+  EXPECT_TRUE(Eng.compile(Prog).isExhausted());
+  EXPECT_EQ(Eng.planCacheSize(), 0u);
 }
 
 TEST(PlanCacheTest, SharedEngineBacksFreeFunctions) {
@@ -523,37 +577,82 @@ TEST(EngineTest, SeedDatabaseIsOrderIndependent) {
 //===----------------------------------------------------------------------===//
 
 TEST(TreeWalkKernelTest, FallbackKernelIsBitIdenticalOnEveryRunPath) {
-  Program Prog = makeGemm("i", "j", "k", 12);
-  Kernel Fast = Kernel::compile(Prog);
-  Kernel Slow = Kernel::treeWalk(Prog);
-  EXPECT_FALSE(Fast.isTreeWalk());
-  EXPECT_TRUE(Slow.isTreeWalk());
+  // Every run form, in every mode: compiled and tree-walk kernels must
+  // reproduce the tree-walk reference bit for bit on each form, and an
+  // exhausted kernel's status forms must report ResourceExhausted without
+  // touching the outputs (its void forms throw; see EngineBudgetTest).
+  // One lease serves every batch, so each kernel after the first finds it
+  // held for another kernel.
+  RunContextLease Lease;
+  EngineOptions NoRoom;
+  NoRoom.MemoryBudgetBytes = 1;
+  Engine Tight(NoRoom);
+  std::vector<Program> Progs;
+  Progs.push_back(makeGemm("i", "j", "k", 12));
+  Progs.push_back(makeTransientProgram(8));
+  for (const Program &Prog : Progs) {
+    SCOPED_TRACE(Prog.name());
+    std::vector<std::pair<std::string, std::vector<double>>> Input, Expected;
+    fillLikeDataEnv(Prog, 5, Input);
+    DataEnv Ref(Prog);
+    Ref.initDeterministic(5);
+    interpretTreeWalk(Prog, Ref);
+    for (const auto &[Name, Storage] : Input)
+      Expected.emplace_back(Name, Ref.buffer(Name));
 
-  // Zero-copy ArgBinding path.
-  std::vector<std::pair<std::string, std::vector<double>>> FastBufs, SlowBufs;
-  fillLikeDataEnv(Prog, 5, FastBufs);
-  fillLikeDataEnv(Prog, 5, SlowBufs);
-  ArgBinding FastArgs, SlowArgs;
-  for (auto &[Name, Storage] : FastBufs)
-    FastArgs.bind(Name, Storage);
-  for (auto &[Name, Storage] : SlowBufs)
-    SlowArgs.bind(Name, Storage);
-  ASSERT_TRUE(Fast.run(FastArgs));
-  ASSERT_TRUE(Slow.run(SlowArgs));
-  EXPECT_EQ(FastBufs, SlowBufs);
+    Kernel Fast = Kernel::compile(Prog);
+    Kernel Slow = Kernel::treeWalk(Prog);
+    Kernel Exhausted = Tight.compile(Prog);
+    EXPECT_FALSE(Fast.isTreeWalk());
+    EXPECT_TRUE(Slow.isTreeWalk());
+    ASSERT_TRUE(Exhausted.isExhausted());
+    // A tree-walk kernel has no plan to report.
+    EXPECT_THROW((void)Slow.plan(), std::logic_error);
 
-  // DataEnv path, repeated so the pooled fallback environment is reused
-  // dirty — transients must still be re-zeroed per run.
-  Program TProg = makeTransientProgram(8);
-  Kernel TSlow = Kernel::treeWalk(TProg);
-  std::vector<double> In(8, 3.0), Out(8, 0.0);
-  ArgBinding TArgs;
-  TArgs.bind("In", In).bind("Out", Out);
-  ASSERT_TRUE(TSlow.run(TArgs));
-  std::vector<double> FirstOut = Out;
-  ASSERT_TRUE(TSlow.run(TArgs));
-  EXPECT_EQ(Out, FirstOut);
-  EXPECT_EQ(Out[0], 3.0 * 2.0 + 1.0);
+    for (const Kernel &K : {Fast, Slow, Exhausted}) {
+      SCOPED_TRACE(K.isExhausted()  ? "exhausted"
+                   : K.isTreeWalk() ? "tree-walk"
+                                    : "compiled");
+      RunStatus::Kind Want =
+          K.isExhausted() ? RunStatus::ResourceExhausted : RunStatus::Ok;
+      const auto &Out = K.isExhausted() ? Input : Expected;
+      // Each round reuses the kernel's pooled contexts dirty from the
+      // last run, so the transient program sees its scratch re-zeroed.
+      for (int Round = 0; Round < 2; ++Round) {
+        auto Bufs = Input;
+        EXPECT_EQ(K.run(bindAll(Bufs)).Why, Want);
+        EXPECT_EQ(Bufs, Out) << "run(ArgBinding)";
+
+        Bufs = Input;
+        BoundArgs Bound = K.bind(bindAll(Bufs));
+        ASSERT_TRUE(Bound.ok()) << Bound.error();
+        EXPECT_EQ(K.run(Bound).Why, Want);
+        EXPECT_EQ(Bufs, Out) << "run(BoundArgs)";
+
+        auto First = Input, Second = Input;
+        BoundArgs A1 = K.bind(bindAll(First)), A2 = K.bind(bindAll(Second));
+        const BoundArgs *Batch[] = {&A1, &A2};
+        RunStatus Statuses[2];
+        K.runBatch(Batch, Statuses, 2, Lease);
+        EXPECT_EQ(Lease.kernelToken(), K.token());
+        EXPECT_EQ(Statuses[0].Why, Want);
+        EXPECT_EQ(Statuses[1].Why, Want);
+        EXPECT_EQ(First, Out) << "runBatch";
+        EXPECT_EQ(Second, Out) << "runBatch";
+        if (K.isExhausted())
+          continue;
+
+        DataEnv Env(Prog);
+        Env.initDeterministic(5);
+        K.run(Env);
+        DataEnv Seeded = K.run(/*Seed=*/5);
+        for (const auto &[Name, Storage] : Expected) {
+          EXPECT_EQ(Env.buffer(Name), Storage) << "run(DataEnv&) " << Name;
+          EXPECT_EQ(Seeded.buffer(Name), Storage) << "run(Seed) " << Name;
+        }
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -622,11 +721,30 @@ TEST(EngineBudgetTest, ExhaustionSurfacesAsAStatusAndIsNeverCached) {
 
   const BoundArgs *Batch[] = {&Bound, &Bound};
   RunStatus Statuses[2];
-  K.runBatch(Batch, Statuses, 2);
+  RunContextLease Lease;
+  K.runBatch(Batch, Statuses, 2, Lease);
   EXPECT_EQ(Statuses[0].Why, RunStatus::ResourceExhausted);
   EXPECT_EQ(Statuses[1].Why, RunStatus::ResourceExhausted);
   for (double V : C)
     EXPECT_EQ(V, -1.0);
+
+  // The void forms have no status to carry the exhaustion: they throw
+  // instead of returning as if the kernel had run, and leave the
+  // environment untouched.
+  DataEnv Env(Prog), Untouched(Prog);
+  Env.initDeterministic(3);
+  Untouched.initDeterministic(3);
+  try {
+    K.run(Env);
+    ADD_FAILURE() << "run(DataEnv&) returned on an exhausted kernel";
+  } catch (const std::runtime_error &E) {
+    EXPECT_EQ(std::string(E.what()), RunStatus::resourceExhausted().Error);
+  }
+  for (const ArrayDecl &Decl : Prog.arrays())
+    EXPECT_EQ(Env.buffer(Decl.Name), Untouched.buffer(Decl.Name)) << Decl.Name;
+  EXPECT_THROW((void)K.run(/*Seed=*/3), std::runtime_error);
+  // Nor has it a plan to report.
+  EXPECT_THROW((void)K.plan(), std::logic_error);
 }
 
 TEST(EngineBudgetTest, PooledContextsAreDroppedNotRetainedUnderPressure) {
