@@ -56,6 +56,20 @@ static void BM_NormalizeCloudsc(benchmark::State &State) {
 }
 BENCHMARK(BM_NormalizeCloudsc);
 
+static void BM_NormalizeCloudscDaCe(benchmark::State &State) {
+  // The DaCe variant at the same size: its 30 full-shape transients make
+  // it the one input transient contraction rewrites, so this row carries
+  // the contraction's compile-time cost beside the fission it saves.
+  CloudscConfig Config;
+  Config.Nblocks = 1;
+  Program Prog = buildCloudsc(Config, CloudscVariant::DaCe);
+  for (auto _ : State) {
+    Program Norm = normalize(Prog);
+    benchmark::DoNotOptimize(Norm);
+  }
+}
+BENCHMARK(BM_NormalizeCloudscDaCe);
+
 static void BM_DependenceAnalysis(benchmark::State &State) {
   Program Prog = buildPolyBench(PolyBenchKernel::Fdtd2d, VariantKind::A);
   for (auto _ : State) {

@@ -123,9 +123,9 @@ namespace {
 using LoopContext = std::vector<std::tuple<std::string, AffineExpr,
                                            AffineExpr, int64_t>>;
 
-LoopContext belowCarrierContext(const StmtInfo &S) {
+LoopContext belowCarrierContext(const StmtInfo &S, size_t CarrierDepth) {
   LoopContext Ctx;
-  for (size_t I = 1; I < S.Path.size(); ++I) {
+  for (size_t I = CarrierDepth + 1; I < S.Path.size(); ++I) {
     const auto &L = S.Path[I];
     Ctx.emplace_back(L->iterator(), L->lower(), L->upper(), L->step());
   }
@@ -134,22 +134,78 @@ LoopContext belowCarrierContext(const StmtInfo &S) {
 
 } // namespace
 
+bool daisy::isPrivatizableUnder(const std::vector<StmtInfo> &Stmts,
+                                size_t CarrierDepth,
+                                const std::set<std::string> &FixedIters,
+                                const std::string &Array,
+                                size_t IgnoredSubscripts) {
+  auto MentionsFixed = [&](const AffineExpr &Expr) {
+    for (const auto &[Name, Coeff] : Expr.terms())
+      if (FixedIters.count(Name))
+        return true;
+    return false;
+  };
+  auto SubscriptsOk = [&](const ArrayAccess &A) {
+    for (size_t D = IgnoredSubscripts; D < A.Indices.size(); ++D)
+      if (MentionsFixed(A.Indices[D]))
+        return false;
+    return true;
+  };
+  auto SameSubscripts = [&](const ArrayAccess &A, const ArrayAccess &B) {
+    return std::equal(A.Indices.begin() + IgnoredSubscripts, A.Indices.end(),
+                      B.Indices.begin() + IgnoredSubscripts, B.Indices.end());
+  };
+
+  // One write per (access, context) form seen so far, in order.
+  std::vector<std::pair<const ArrayAccess *, LoopContext>> Defined;
+  std::vector<const ArrayAccess *> Reads;
+  for (const StmtInfo &S : Stmts) {
+    const ArrayAccess &Write = S.Comp->write();
+    bool Writes = Write.Array == Array;
+    Reads.clear();
+    visitExpr(S.Comp->rhs(), [&](const Expr &Node) {
+      if (Node.kind() == ExprKind::Read && Node.access().Array == Array)
+        Reads.push_back(&Node.access());
+    });
+    if (!Writes && Reads.empty())
+      continue;
+
+    // Subscripts and the below-carrier iteration space must be identical
+    // across carrier iterations.
+    LoopContext Ctx = belowCarrierContext(S, CarrierDepth);
+    for (const auto &[It, Lower, Upper, Step] : Ctx)
+      if (MentionsFixed(Lower) || MentionsFixed(Upper))
+        return false;
+    if (Writes && !SubscriptsOk(Write))
+      return false;
+    for (const ArrayAccess *R : Reads)
+      if (!SubscriptsOk(*R))
+        return false;
+
+    // Define-before-use: every read must repeat the subscripts and context
+    // of an earlier write (a computation reads its operands before
+    // writing, so its own write does not count).
+    for (const ArrayAccess *R : Reads) {
+      auto Earlier = [&](const auto &Def) {
+        return Def.second == Ctx && SameSubscripts(*Def.first, *R);
+      };
+      if (std::none_of(Defined.begin(), Defined.end(), Earlier))
+        return false;
+    }
+    if (Writes)
+      Defined.emplace_back(&Write, std::move(Ctx));
+  }
+  return !Defined.empty();
+}
+
 std::set<std::string> daisy::privatizableArraysUnder(
     const NodePtr &Carrier, const std::vector<std::string> &EnclosingIters,
     const Program &Prog) {
   const auto *CarrierLoop = dynCast<Loop>(Carrier);
   assert(CarrierLoop && "privatization carrier must be a loop");
 
-  std::set<std::string> Forbidden(EnclosingIters.begin(),
-                                  EnclosingIters.end());
-  Forbidden.insert(CarrierLoop->iterator());
-  auto MentionsForbidden = [&](const AffineExpr &Expr) {
-    for (const auto &[Name, Coeff] : Expr.terms())
-      if (Forbidden.count(Name))
-        return true;
-    return false;
-  };
-
+  std::set<std::string> Fixed(EnclosingIters.begin(), EnclosingIters.end());
+  Fixed.insert(CarrierLoop->iterator());
   std::vector<StmtInfo> Stmts = collectStatements(Carrier);
   std::set<std::string> Candidates;
   for (const StmtInfo &S : Stmts) {
@@ -159,58 +215,9 @@ std::set<std::string> daisy::privatizableArraysUnder(
   }
 
   std::set<std::string> Result;
-  for (const std::string &Array : Candidates) {
-    bool Ok = true;
-    // One write per (subscripts, context) form seen so far, in order.
-    std::vector<std::pair<std::vector<AffineExpr>, LoopContext>> Defined;
-    for (const StmtInfo &S : Stmts) {
-      auto Touches = [&](const ArrayAccess &A) { return A.Array == Array; };
-      bool Writes = Touches(S.Comp->write());
-      std::vector<ArrayAccess> Reads;
-      for (const ArrayAccess &R : S.Comp->reads())
-        if (Touches(R))
-          Reads.push_back(R);
-      if (!Writes && Reads.empty())
-        continue;
-
-      // Subscripts and the below-carrier iteration space must be
-      // identical across carrier iterations.
-      LoopContext Ctx = belowCarrierContext(S);
-      for (const auto &[It, Lower, Upper, Step] : Ctx)
-        if (MentionsForbidden(Lower) || MentionsForbidden(Upper))
-          Ok = false;
-      auto SubscriptsOk = [&](const ArrayAccess &A) {
-        for (const AffineExpr &Index : A.Indices)
-          if (MentionsForbidden(Index))
-            return false;
-        return true;
-      };
-      if (Writes && !SubscriptsOk(S.Comp->write()))
-        Ok = false;
-      for (const ArrayAccess &R : Reads)
-        if (!SubscriptsOk(R))
-          Ok = false;
-
-      // Define-before-use: every read must repeat the subscripts and
-      // context of an earlier write (a computation reads its operands
-      // before writing, so its own write does not count).
-      for (const ArrayAccess &R : Reads) {
-        bool Found = false;
-        for (const auto &[Indices, WriteCtx] : Defined)
-          if (Indices == R.Indices && WriteCtx == Ctx) {
-            Found = true;
-            break;
-          }
-        Ok &= Found;
-      }
-      if (Writes)
-        Defined.emplace_back(S.Comp->write().Indices, std::move(Ctx));
-      if (!Ok)
-        break;
-    }
-    if (Ok && !Defined.empty())
+  for (const std::string &Array : Candidates)
+    if (isPrivatizableUnder(Stmts, /*CarrierDepth=*/0, Fixed, Array))
       Result.insert(Array);
-  }
   return Result;
 }
 

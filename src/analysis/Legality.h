@@ -83,10 +83,33 @@ std::set<const Loop *> parallelizableLoops(const NodePtr &Root,
 /// contents unobservable within one iteration, which is what both the
 /// parallelization legality discount and the parallel execution backend's
 /// per-thread private copies rely on; keeping them on this one helper is
-/// what keeps transform and exec in agreement.
+/// what keeps transform and exec in agreement. The per-array test is
+/// isPrivatizableUnder.
 std::set<std::string> privatizableArraysUnder(
     const NodePtr &Carrier, const std::vector<std::string> &EnclosingIters,
     const Program &Prog);
+
+/// The define-before-use test behind privatizableArraysUnder, for one
+/// array: true iff \p Array meets the three conditions above under the
+/// carrier and at least one statement writes it. It is the one copy of
+/// the test, shared by privatizableArraysUnder (and through it the
+/// parallelizer and the execution backend) and by transient contraction
+/// (transform/Distribute.h contractTransients), so contraction and
+/// execution cannot disagree about which buffers are private.
+///
+/// \p Stmts are the statements under the carrier in execution order, with
+/// their loop paths (collectStatements); statements that do not access
+/// \p Array are skipped, so a caller may pass only those that do. Entry
+/// \p CarrierDepth of every path is the carrier, and the loops after it
+/// form the below-carrier context. \p FixedIters holds the carrier's
+/// iterator and its enclosing iterators. The first \p IgnoredSubscripts
+/// subscripts of every access are left out of the test: contraction asks
+/// whether the array stays privatizable once those dimensions are gone.
+bool isPrivatizableUnder(const std::vector<StmtInfo> &Stmts,
+                         size_t CarrierDepth,
+                         const std::set<std::string> &FixedIters,
+                         const std::string &Array,
+                         size_t IgnoredSubscripts = 0);
 
 /// True if \p Target carries only reduction-style self-dependences: every
 /// dependence carried by \p Target has identical source and sink whose

@@ -47,7 +47,11 @@ struct CloudscConfig {
 enum class CloudscVariant {
   Fortran, ///< Tuned original: one fused loop body per physical equation.
   C,       ///< The C port: same structure plus explicit buffer copies.
-  DaCe     ///< DaCe SDFG: fully fissioned statements with temporaries.
+  DaCe     ///< DaCe SDFG: one column loop per statement, every
+           ///< intermediate scalar a full NBLOCKS x KLEV x NPROMA
+           ///< transient (`*_g`). normalize contracts these to one NPROMA
+           ///< column each (transform/Distribute.h contractTransients),
+           ///< so DaCe normalizes and schedules to Fortran's nests.
 };
 
 /// Builds the erosion-of-clouds kernel alone (Fig. 10a): the KLEV loop

@@ -299,45 +299,16 @@ ExprPtr daisy::substituteVar(const ExprPtr &Root, const std::string &OldName,
 ExprPtr daisy::retargetArray(const ExprPtr &Root, const std::string &OldArray,
                              const std::string &NewArray,
                              const std::vector<AffineExpr> &ExtraIndices) {
-  if (!Root)
-    return Root;
-  switch (Root->kind()) {
-  case ExprKind::Constant:
-  case ExprKind::Param:
-  case ExprKind::Iter:
-    return Root;
-  case ExprKind::Read: {
-    const ArrayAccess &Access = Root->access();
-    if (Access.Array != OldArray)
-      return Root;
-    std::vector<AffineExpr> NewIndices = ExtraIndices;
-    NewIndices.insert(NewIndices.end(), Access.Indices.begin(),
-                      Access.Indices.end());
-    return Expr::makeRead(NewArray, std::move(NewIndices));
-  }
-  case ExprKind::Unary:
-  case ExprKind::Binary:
-  case ExprKind::Select: {
-    bool Changed = false;
-    std::vector<ExprPtr> NewOperands;
-    NewOperands.reserve(Root->operands().size());
-    for (const ExprPtr &Operand : Root->operands()) {
-      ExprPtr NewOperand =
-          retargetArray(Operand, OldArray, NewArray, ExtraIndices);
-      Changed |= NewOperand != Operand;
-      NewOperands.push_back(std::move(NewOperand));
-    }
-    if (!Changed)
-      return Root;
-    if (Root->kind() == ExprKind::Unary)
-      return Expr::makeUnary(Root->unaryOp(), NewOperands[0]);
-    if (Root->kind() == ExprKind::Binary)
-      return Expr::makeBinary(Root->binaryOp(), NewOperands[0],
-                              NewOperands[1]);
-    return Expr::makeSelect(NewOperands[0], NewOperands[1], NewOperands[2]);
-  }
-  }
-  return Root;
+  return rewriteReads(
+      Root, [&](const ArrayAccess &Access) -> std::optional<ArrayAccess> {
+        if (Access.Array != OldArray)
+          return std::nullopt;
+        ArrayAccess Retargeted{NewArray, ExtraIndices};
+        Retargeted.Indices.insert(Retargeted.Indices.end(),
+                                  Access.Indices.begin(),
+                                  Access.Indices.end());
+        return Retargeted;
+      });
 }
 
 bool daisy::exprEquals(const ExprPtr &Lhs, const ExprPtr &Rhs) {

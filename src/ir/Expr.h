@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,49 @@ int64_t countFlops(const ExprPtr &Root);
 /// and Iter references renamed when \p Replacement is a plain variable.
 ExprPtr substituteVar(const ExprPtr &Root, const std::string &OldName,
                       const AffineExpr &Replacement);
+
+/// Returns \p Root with every Read rebuilt whose access \p Rewrite maps to
+/// a new one: \p Rewrite takes a `const ArrayAccess &` and returns a
+/// `std::optional<ArrayAccess>`, std::nullopt to keep the Read. Subtrees
+/// without a rewritten Read are shared with \p Root, so an untouched
+/// expression comes back as the same pointer. A template, so that the
+/// per-Read callback inlines: frontends retarget every Read of a program
+/// once per array they expand.
+template <typename RewriteFn>
+ExprPtr rewriteReads(const ExprPtr &Root, const RewriteFn &Rewrite) {
+  if (!Root)
+    return Root;
+  switch (Root->kind()) {
+  case ExprKind::Read: {
+    std::optional<ArrayAccess> Access = Rewrite(Root->access());
+    if (!Access)
+      return Root;
+    return Expr::makeRead(Access->Array, std::move(Access->Indices));
+  }
+  case ExprKind::Unary:
+  case ExprKind::Binary:
+  case ExprKind::Select: {
+    bool Changed = false;
+    std::vector<ExprPtr> NewOperands;
+    NewOperands.reserve(Root->operands().size());
+    for (const ExprPtr &Operand : Root->operands()) {
+      ExprPtr NewOperand = rewriteReads(Operand, Rewrite);
+      Changed |= NewOperand != Operand;
+      NewOperands.push_back(std::move(NewOperand));
+    }
+    if (!Changed)
+      return Root;
+    if (Root->kind() == ExprKind::Unary)
+      return Expr::makeUnary(Root->unaryOp(), NewOperands[0]);
+    if (Root->kind() == ExprKind::Binary)
+      return Expr::makeBinary(Root->binaryOp(), NewOperands[0],
+                              NewOperands[1]);
+    return Expr::makeSelect(NewOperands[0], NewOperands[1], NewOperands[2]);
+  }
+  default:
+    return Root;
+  }
+}
 
 /// Returns a copy of \p Root with array \p OldArray renamed to \p NewArray
 /// and, when \p ExtraIndices is non-empty, the new subscripts prepended.

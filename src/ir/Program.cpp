@@ -31,6 +31,16 @@ void Program::addArray(const std::string &ArrayName,
   Arrays.push_back(ArrayDecl{ArrayName, std::move(Shape), Transient});
 }
 
+void Program::reshapeArray(const std::string &ArrayName,
+                           std::vector<int64_t> Shape) {
+  for (ArrayDecl &Decl : Arrays)
+    if (Decl.Name == ArrayName) {
+      Decl.Shape = std::move(Shape);
+      return;
+    }
+  assert(false && "array not declared");
+}
+
 const ArrayDecl &Program::array(const std::string &ArrayName) const {
   const ArrayDecl *Decl = findArray(ArrayName);
   assert(Decl && "array not declared");

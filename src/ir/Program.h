@@ -52,6 +52,11 @@ public:
   void addArray(const std::string &ArrayName, std::vector<int64_t> Shape,
                 bool Transient = false);
 
+  /// Replaces the shape of the declared array \p ArrayName, keeping its
+  /// name, slot and transient flag (transient contraction drops
+  /// dimensions this way, so bindings and slot order stay valid).
+  void reshapeArray(const std::string &ArrayName, std::vector<int64_t> Shape);
+
   /// Looks up an array declaration; asserts if missing.
   const ArrayDecl &array(const std::string &ArrayName) const;
 

@@ -13,6 +13,7 @@ Program daisy::normalize(const Program &Prog,
                          NormalizationStats *Stats) {
   Program Result = Prog.clone();
   NormalizationStats Local;
+  Local.Contraction = contractTransients(Result);
   if (Options.EnableFission)
     Local.Fission = maximalLoopFission(Result);
   if (Options.EnableStrideMinimization)

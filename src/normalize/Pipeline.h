@@ -5,9 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The a priori loop nest normalization pipeline (paper Fig. 5): maximal
-/// loop fission to a fixed point, then stride minimization on every
-/// resulting atomic nest.
+/// The a priori loop nest normalization pipeline (paper Fig. 5): transient
+/// contraction, then maximal loop fission to a fixed point, then stride
+/// minimization on every resulting atomic nest.
+///
+/// Contraction (transform/Distribute.h contractTransients) comes first
+/// because materialized temporaries permit fission that the scalar form
+/// does not: a frontend that stores an intermediate scalar in a full
+/// block x level x column transient frees fission to split the level loop
+/// around it, while the scalar keeps its producer and consumers in one
+/// loop. Contracting such arrays first lets fission treat them exactly as
+/// it treats the scalars it expands itself, so both forms normalize alike.
+/// It is not an option: it only rewrites transients where that is exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +25,7 @@
 
 #include "normalize/Fission.h"
 #include "normalize/StrideMin.h"
+#include "transform/Distribute.h"
 
 namespace daisy {
 
@@ -29,6 +39,7 @@ struct NormalizationOptions {
 
 /// Summary of one pipeline run.
 struct NormalizationStats {
+  ContractionStats Contraction;
   FissionStats Fission;
   StrideMinStats StrideMin;
 };

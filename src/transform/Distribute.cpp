@@ -6,8 +6,10 @@
 
 #include "transform/Distribute.h"
 
+#include "analysis/Legality.h"
 #include "ir/Rewrite.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <map>
@@ -81,7 +83,159 @@ bool scalarEscapes(const Program &Prog, const NodePtr &Inside,
   return ProgramAccesses != countAccesses(Inside, Name);
 }
 
+/// What contraction's one walk learns about a transient.
+struct TransientUses {
+  /// Statements accessing the transient, in execution order, with their
+  /// loop paths from the top level.
+  std::vector<StmtInfo> Stmts;
+  /// The loops enclosing every access, outermost first.
+  std::vector<std::shared_ptr<Loop>> Common;
+  /// Named by a CallNode, or accessed under an opaque loop.
+  bool Rejected = false;
+};
+
+/// Records, for every transient in \p Uses, the statements under \p Node
+/// that access it.
+void scanTransientUses(const NodePtr &Node,
+                       std::vector<std::shared_ptr<Loop>> &Path,
+                       bool UnderOpaque,
+                       std::map<std::string, TransientUses> &Uses,
+                       int &Order) {
+  if (const auto *Call = dynCast<CallNode>(Node)) {
+    for (const std::string &Arg : Call->args()) {
+      auto It = Uses.find(Arg);
+      if (It != Uses.end())
+        It->second.Rejected = true;
+    }
+    return;
+  }
+  if (Node->kind() == NodeKind::Computation) {
+    auto Comp = std::static_pointer_cast<Computation>(Node);
+    auto Note = [&](const std::string &Array) {
+      auto It = Uses.find(Array);
+      if (It == Uses.end())
+        return;
+      TransientUses &U = It->second;
+      U.Rejected |= UnderOpaque;
+      if (!U.Stmts.empty() && U.Stmts.back().Comp == Comp)
+        return;
+      U.Common = U.Stmts.empty() ? Path : commonLoops(U.Common, Path);
+      U.Stmts.push_back(StmtInfo{Comp, Path, Order});
+    };
+    Note(Comp->write().Array);
+    forEachRead(*Comp, [&](const ArrayAccess &R) { Note(R.Array); });
+    ++Order;
+    return;
+  }
+  auto L = std::static_pointer_cast<Loop>(Node);
+  Path.push_back(L);
+  for (const NodePtr &Child : L->body())
+    scanTransientUses(Child, Path, UnderOpaque || L->isOpaque(), Uses,
+                      Order);
+  Path.pop_back();
+}
+
+/// The number of leading subscripts, at most \p Max, that are exactly
+/// U.Common[d]'s iterator at every access of \p Array.
+size_t loopIndexedDims(const std::string &Array, const TransientUses &U,
+                       size_t Max) {
+  size_t K = Max;
+  for (const StmtInfo &S : U.Stmts) {
+    auto Match = [&](const ArrayAccess &A) {
+      if (A.Array != Array)
+        return;
+      size_t D = 0;
+      for (; D < K && D < A.Indices.size(); ++D) {
+        const std::string &It = U.Common[D]->iterator();
+        const AffineExpr &Index = A.Indices[D];
+        bool Exact = Index.constantTerm() == 0 && Index.terms().size() == 1 &&
+                     Index.coefficient(It) == 1;
+        // An inner loop rebinding the name hides C[d]'s iterator.
+        bool Shadowed =
+            std::any_of(S.Path.begin() + static_cast<std::ptrdiff_t>(D) + 1,
+                        S.Path.end(), [&It](const std::shared_ptr<Loop> &L) {
+                          return L->iterator() == It;
+                        });
+        if (!Exact || Shadowed)
+          break;
+      }
+      K = D;
+    };
+    Match(S.Comp->write());
+    forEachRead(*S.Comp, Match);
+  }
+  return K;
+}
+
+/// How many leading dimensions of \p Array contraction drops (0: none).
+size_t contractibleDims(const std::string &Array, const TransientUses &U,
+                        size_t Rank) {
+  for (size_t K = loopIndexedDims(Array, U, std::min(U.Common.size(), Rank));
+       K > 0; --K) {
+    std::set<std::string> Fixed;
+    bool Private = true;
+    for (size_t D = 0; D < K && Private; ++D) {
+      Fixed.insert(U.Common[D]->iterator());
+      Private = isPrivatizableUnder(U.Stmts, D, Fixed, Array, K);
+    }
+    if (Private)
+      return K;
+  }
+  return 0;
+}
+
 } // namespace
+
+ContractionStats daisy::contractTransients(Program &Prog) {
+  ContractionStats Stats;
+  std::map<std::string, TransientUses> Uses;
+  for (const ArrayDecl &Decl : Prog.arrays())
+    if (Decl.Transient && !Decl.Shape.empty())
+      Uses[Decl.Name];
+  if (Uses.empty())
+    return Stats;
+
+  std::vector<std::shared_ptr<Loop>> Path;
+  int Order = 0;
+  for (const NodePtr &Top : Prog.topLevel())
+    scanTransientUses(Top, Path, /*UnderOpaque=*/false, Uses, Order);
+
+  std::map<std::string, size_t> Dropped;
+  std::set<Computation *> Touched;
+  for (const auto &[Name, U] : Uses) {
+    if (U.Rejected || U.Stmts.empty())
+      continue;
+    size_t K = contractibleDims(Name, U, Prog.array(Name).Shape.size());
+    if (K == 0)
+      continue;
+    Dropped[Name] = K;
+    for (const StmtInfo &S : U.Stmts)
+      Touched.insert(S.Comp.get());
+  }
+
+  auto Drop = [&Dropped](const ArrayAccess &A) -> std::optional<ArrayAccess> {
+    auto It = Dropped.find(A.Array);
+    if (It == Dropped.end())
+      return std::nullopt;
+    auto Kept = A.Indices.begin() + static_cast<std::ptrdiff_t>(It->second);
+    return ArrayAccess{A.Array, {Kept, A.Indices.end()}};
+  };
+  for (Computation *C : Touched) {
+    if (std::optional<ArrayAccess> Write = Drop(C->write()))
+      C->setWrite(std::move(*Write));
+    C->setRhs(rewriteReads(C->rhs(), Drop));
+  }
+  for (const auto &[Name, K] : Dropped) {
+    const std::vector<int64_t> &Shape = Prog.array(Name).Shape;
+    ++Stats.ArraysContracted;
+    Stats.ElementsBefore += Prog.array(Name).elementCount();
+    Prog.reshapeArray(Name, std::vector<int64_t>(
+                                Shape.begin() + static_cast<std::ptrdiff_t>(K),
+                                Shape.end()));
+    Stats.ElementsAfter += Prog.array(Name).elementCount();
+  }
+  return Stats;
+}
 
 std::shared_ptr<Loop> daisy::expandScalars(const std::shared_ptr<Loop> &L,
                                            Program &Prog) {

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Loop distribution (fission) and the scalar expansion that enables it.
+/// Loop distribution (fission), the scalar expansion that enables it, and
+/// its inverse, transient contraction.
 ///
 /// Distribution splits a loop's body into the groups computed by
 /// distributionGroups (analysis/Legality.h), one loop per group. Scalars
@@ -13,6 +14,12 @@
 /// into one group; scalar expansion first promotes such loop-local scalars
 /// to transient arrays indexed by the loop iterator — exactly the ZQP_0 /
 /// ZCOND_0 pattern of the paper's CLOUDSC study (Fig. 10b).
+///
+/// A frontend can arrive already expanded, and further than fission ever
+/// would: CLOUDSC's DaCe variant stores every intermediate scalar as a
+/// full NBLOCKS x KLEV x NPROMA transient. Such storage lets fission split
+/// what the scalar form keeps in one loop, so normalization contracts it
+/// back first (normalize/Pipeline.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +42,42 @@ namespace daisy {
 /// pointer if nothing changed).
 std::shared_ptr<Loop> expandScalars(const std::shared_ptr<Loop> &L,
                                     Program &Prog);
+
+/// What one contractTransients call changed.
+struct ContractionStats {
+  int ArraysContracted = 0;
+  int64_t ElementsBefore = 0; ///< Total elements of those arrays before.
+  int64_t ElementsAfter = 0;  ///< ... and after contraction.
+};
+
+/// Contracts transient arrays, the inverse of expandScalars: drops the
+/// leading dimensions of a transient that only index the loops around it,
+/// where that is exact.
+///
+/// A transient T of rank >= 1 is a candidate when no CallNode names it and
+/// no opaque loop encloses any of its accesses. Let C[0..n) be the loops
+/// enclosing every access of T, outermost first. T drops its first K
+/// dimensions for the largest K (K <= n, K <= rank) for which both hold:
+///
+/// - at every access, subscript d < K is exactly C[d]'s iterator
+///   (coefficient 1, no constant, not shadowed by an inner loop);
+/// - with those K subscripts left out, T passes privatizableArraysUnder's
+///   test (analysis/Legality.h isPrivatizableUnder) under every C[d],
+///   d < K, with C[0..d) as the enclosing iterators.
+///
+/// The second condition means every iteration of C[K-1] defines each
+/// element it reads before reading it, so no iteration reads a value
+/// another one wrote and the contracted program computes the same values.
+/// It also makes T privatizable under every C[d]: a C[d] the parallelizer
+/// could mark before contraction can still be marked, and the execution
+/// backend gives each thread its own copy of T, as it already does for
+/// expandScalars' arrays.
+///
+/// The array keeps its name and slot (Program::reshapeArray); only its
+/// shape and its subscripts change. Statements are rewritten in place, so
+/// \p Prog must own its nodes (normalize runs this on its own clone).
+/// Returns at once when \p Prog declares no transient of rank >= 1.
+ContractionStats contractTransients(Program &Prog);
 
 /// Distributes \p L into one loop per entry of \p Groups (body-item index
 /// lists, as produced by distributionGroups). Returns the replacement

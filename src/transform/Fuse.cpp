@@ -18,11 +18,9 @@ std::shared_ptr<Loop> daisy::fuseLoops(const std::shared_ptr<Loop> &First,
   for (const NodePtr &Child : Second->body())
     Body.push_back(
         renameIterator(Child, Second->iterator(), First->iterator()));
-  auto Fused = std::make_shared<Loop>(First->iterator(), First->lower(),
-                                      First->upper(), std::move(Body),
-                                      First->step());
-  Fused->setParallel(First->isParallel() && Second->isParallel());
-  return Fused;
+  return std::make_shared<Loop>(First->iterator(), First->lower(),
+                                First->upper(), std::move(Body),
+                                First->step());
 }
 
 std::vector<NodePtr>

@@ -24,6 +24,13 @@ namespace daisy {
 
 /// Fuses \p First and \p Second into one loop carrying \p First's
 /// iterator. The caller must have verified legality (canFuseLoops).
+///
+/// The fused loop carries no parallel mark, even when both inputs do:
+/// fusion can create a dependence that the fused loop carries (\p First
+/// writes A[i] and \p Second reads A[i-1]), which canFuseLoops accepts. A
+/// caller that wants it parallel re-marks it (transform/Parallelize.h).
+/// Loops inside the two bodies keep their marks: fusion leaves their
+/// bodies unchanged.
 std::shared_ptr<Loop> fuseLoops(const std::shared_ptr<Loop> &First,
                                 const std::shared_ptr<Loop> &Second);
 

@@ -4,11 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Engine.h"
 #include "cloudsc/Cloudsc.h"
+#include "exec/DataEnv.h"
+#include "exec/ExecPlan.h"
 #include "exec/Interpreter.h"
 #include "ir/Builder.h"
 #include "ir/Validate.h"
 #include "machine/Simulator.h"
+#include "normalize/Pipeline.h"
 #include "transform/Cse.h"
 #include "transform/Parallelize.h"
 
@@ -173,4 +177,76 @@ TEST(CloudscTest, FullModelRuntimeOrder) {
   EXPECT_LT(DaisyTime, Fortran);
   EXPECT_LT(Fortran, C);
   EXPECT_LT(Fortran, DaCe);
+}
+
+TEST(CloudscTest, OnlyDaCeHasTemporariesToContract) {
+  // DaCe stores each of its 30 intermediate scalars as a full
+  // NBLOCKS x KLEV x NPROMA transient; normalization contracts each to
+  // one NPROMA column. Fortran and C declare nothing to contract.
+  CloudscConfig Config;
+  NormalizationStats Stats;
+  normalize(buildCloudsc(Config, CloudscVariant::DaCe), {}, &Stats);
+  EXPECT_EQ(Stats.Contraction.ArraysContracted, 30);
+  EXPECT_EQ(Stats.Contraction.ElementsBefore, 2104320);
+  EXPECT_EQ(Stats.Contraction.ElementsAfter, 3840);
+  for (CloudscVariant V : {CloudscVariant::Fortran, CloudscVariant::C}) {
+    normalize(buildCloudsc(Config, V), {}, &Stats);
+    EXPECT_EQ(Stats.Contraction.ArraysContracted, 0);
+    EXPECT_EQ(Stats.Contraction.ElementsBefore, 0);
+  }
+}
+
+TEST(CloudscTest, DaCeSchedulesAndRunsLikeFortran) {
+  CloudscConfig Config;
+  Config.Nproma = 32;
+  Config.Klev = 8;
+  Config.Nblocks = 4; // enough work per block loop to fork
+  Engine Eng;
+  Program Source = buildCloudsc(Config, CloudscVariant::DaCe);
+  Program DaCe = Eng.schedule(Source);
+  Program Fortran = Eng.schedule(buildCloudsc(Config, CloudscVariant::Fortran));
+  Program C = Eng.schedule(buildCloudsc(Config, CloudscVariant::C));
+
+  auto TransientElements = [](const Program &P) {
+    int64_t Elements = 0;
+    for (const ArrayDecl &Decl : P.arrays())
+      if (Decl.Transient)
+        Elements += Decl.elementCount();
+    return Elements;
+  };
+  EXPECT_EQ(Fortran.topLevel().size(), 6u);
+  EXPECT_EQ(DaCe.topLevel().size(), Fortran.topLevel().size());
+  EXPECT_EQ(TransientElements(DaCe), TransientElements(Fortran));
+  // The C port's ZQBUF copy-in/copy-out staging is not forwarded.
+  EXPECT_EQ(C.topLevel().size(), 7u);
+
+  PlanOptions Options;
+  Options.NumThreads = 4;
+  ExecPlan::Stats D = ExecPlan::compile(DaCe, Options).stats();
+  ExecPlan::Stats F = ExecPlan::compile(Fortran, Options).stats();
+  EXPECT_GT(F.ParallelLoops, 0u);
+  EXPECT_EQ(D.ParallelLoops, F.ParallelLoops);
+  EXPECT_EQ(D.PrivatizedBuffers, F.PrivatizedBuffers);
+  EXPECT_EQ(D.BlockedLoops, F.BlockedLoops);
+
+  // The tree-walk of the scheduled program equals the source's, and its
+  // plan equals that tree-walk at every thread count and specialization.
+  DataEnv SourceWalked(Source), Walked(DaCe);
+  SourceWalked.initDeterministic(3);
+  Walked.initDeterministic(3);
+  interpretTreeWalk(Source, SourceWalked);
+  interpretTreeWalk(DaCe, Walked);
+  EXPECT_EQ(DataEnv::maxAbsDifference(SourceWalked, Walked, Source), 0.0);
+  for (int Threads : {1, 2, 4}) {
+    for (bool Specialize : {false, true}) {
+      PlanOptions Run;
+      Run.NumThreads = Threads;
+      Run.EnableSpecialization = Specialize;
+      DataEnv Planned(DaCe);
+      Planned.initDeterministic(3);
+      ExecPlan::compile(DaCe, Run).run(Planned);
+      EXPECT_EQ(DataEnv::maxAbsDifference(Walked, Planned, DaCe), 0.0)
+          << "threads=" << Threads << " spec=" << Specialize;
+    }
+  }
 }

@@ -7,6 +7,7 @@
 #include "analysis/Legality.h"
 #include "analysis/Stride.h"
 #include "exec/Interpreter.h"
+#include "frontends/PolyBench.h"
 #include "ir/Builder.h"
 #include "ir/StructuralHash.h"
 #include "normalize/Pipeline.h"
@@ -248,6 +249,21 @@ TEST(NormalizeTest, StatsReported) {
   EXPECT_GE(Stats.Fission.LoopsDistributed, 1);
   EXPECT_GE(Stats.StrideMin.NestsVisited, 2);
   EXPECT_GT(Stats.StrideMin.EnumeratedPermutations, 0);
+}
+
+TEST(NormalizeTest, PolyBenchHasNothingToContract) {
+  // Transient contraction rewrites no PolyBench source: its transients
+  // (gemm NPBench's t_mm, 2mm's tmp, correlation's mean, ...) carry
+  // values from one nest or iteration to another.
+  for (VariantKind V :
+       {VariantKind::A, VariantKind::B, VariantKind::NPBench}) {
+    for (PolyBenchKernel Kernel : allPolyBenchKernels()) {
+      NormalizationStats Stats;
+      normalize(buildPolyBench(Kernel, V), {}, &Stats);
+      EXPECT_EQ(Stats.Contraction.ArraysContracted, 0)
+          << polyBenchName(Kernel) << " variant " << static_cast<int>(V);
+    }
+  }
 }
 
 TEST(NormalizeTest, DisableFlagsRespected) {

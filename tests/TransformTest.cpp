@@ -8,9 +8,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Legality.h"
+#include "exec/DataEnv.h"
+#include "exec/ExecPlan.h"
 #include "exec/Interpreter.h"
 #include "ir/Builder.h"
 #include "ir/Printer.h"
+#include "ir/StructuralHash.h"
 #include "transform/Distribute.h"
 #include "transform/Fuse.h"
 #include "transform/Parallelize.h"
@@ -224,6 +227,234 @@ TEST(DistributeTest, FissionAfterExpansionPreservesSemantics) {
 }
 
 //===----------------------------------------------------------------------===//
+// Transient contraction
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int CB = 3, CK = 5, CN = 8; // blocks, levels, columns
+
+/// The DaCe frontend's shape: one block/level nest of column loops, one
+/// statement each, communicating through full-shape transients
+/// T_g/U_g[b][jk][jl]. Y also reads the level below, so the level loop
+/// carries a real dependence.
+Program makeDaCeShapedProgram() {
+  Program Prog("dace-shaped");
+  Prog.addArray("X", {CB, CK, CN});
+  Prog.addArray("T_g", {CB, CK, CN}, /*Transient=*/true);
+  Prog.addArray("Y", {CB, CK, CN});
+  Prog.addArray("U_g", {CB, CK, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jk"), ax("jl")};
+  std::vector<AffineExpr> Prev = {ax("b"), ax("jk") - 1, ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop(
+          "jk", 1, CK,
+          {forLoop("jl", 0, CN,
+                   {assign("S0", "T_g", Idx,
+                           read("X", Idx) * lit(2.0) + read("Y", Prev))}),
+           forLoop("jl", 0, CN,
+                   {assign("S1", "U_g", Idx,
+                           emax(read("T_g", Idx), lit(1.5)))}),
+           forLoop("jl", 0, CN,
+                   {assign("S2", "Y", Idx,
+                           read("U_g", Idx) * read("T_g", Idx) +
+                               read("Y", Prev))})})}));
+  return Prog;
+}
+
+/// True if the tree-walks of \p A and \p B leave every observable array
+/// bit-identical.
+bool treeWalksIdentical(const Program &A, const Program &B) {
+  DataEnv EnvA(A), EnvB(B);
+  EnvA.initDeterministic(11);
+  EnvB.initDeterministic(11);
+  interpretTreeWalk(A, EnvA);
+  interpretTreeWalk(B, EnvB);
+  return DataEnv::maxAbsDifference(EnvA, EnvB, A) == 0.0;
+}
+
+/// Runs contraction on a clone of \p Prog and expects nothing to change.
+void expectNotContracted(const Program &Prog) {
+  Program Contracted = Prog.clone();
+  ContractionStats Stats = contractTransients(Contracted);
+  EXPECT_EQ(Stats.ArraysContracted, 0);
+  EXPECT_EQ(structuralHash(Contracted), structuralHash(Prog));
+  for (size_t I = 0; I < Prog.arrays().size(); ++I)
+    EXPECT_EQ(Contracted.arrays()[I].Shape, Prog.arrays()[I].Shape)
+        << Prog.arrays()[I].Name;
+}
+
+} // namespace
+
+TEST(ContractTest, DaCeShapedNestContractsExactly) {
+  Program Prog = makeDaCeShapedProgram();
+  Program Contracted = Prog.clone();
+  ContractionStats Stats = contractTransients(Contracted);
+  EXPECT_EQ(Stats.ArraysContracted, 2);
+  EXPECT_EQ(Stats.ElementsBefore, 2 * CB * CK * CN);
+  EXPECT_EQ(Stats.ElementsAfter, 2 * CN);
+
+  // Names, slots and flags stay; only the transients' shapes shrink.
+  ASSERT_EQ(Contracted.arrays().size(), Prog.arrays().size());
+  for (size_t I = 0; I < Prog.arrays().size(); ++I) {
+    const ArrayDecl &Before = Prog.arrays()[I];
+    const ArrayDecl &After = Contracted.arrays()[I];
+    EXPECT_EQ(After.Name, Before.Name);
+    EXPECT_EQ(After.Transient, Before.Transient);
+    EXPECT_EQ(After.Shape, Before.Transient ? std::vector<int64_t>{CN}
+                                            : Before.Shape);
+  }
+  for (const auto &C : collectComputations(Contracted.topLevel()[0])) {
+    AccessList Accesses = accessesOf(*C);
+    Accesses.Reads.push_back(Accesses.Write);
+    for (const ArrayAccess &A : Accesses.Reads) {
+      if (Prog.array(A.Array).Transient) {
+        EXPECT_EQ(A.Indices, std::vector<AffineExpr>{ax("jl")})
+            << A.toString();
+      }
+    }
+  }
+  EXPECT_TRUE(treeWalksIdentical(Prog, Contracted));
+
+  // The block loop stays parallel with the contracted buffers private,
+  // and a 4-thread plan matches the tree-walk.
+  const NodePtr &Block = Contracted.topLevel()[0];
+  auto *BlockLoop = dynCast<Loop>(Block);
+  EXPECT_EQ(privatizableArraysUnder(Block, {}, Contracted),
+            (std::set<std::string>{"T_g", "U_g"}));
+  ASSERT_TRUE(parallelizableLoops(Block, Contracted.params(), &Contracted)
+                  .count(BlockLoop));
+  BlockLoop->setParallel(true);
+  PlanOptions Options;
+  Options.NumThreads = 4;
+  DataEnv Walked(Prog), Planned(Contracted);
+  Walked.initDeterministic(11);
+  Planned.initDeterministic(11);
+  interpretTreeWalk(Prog, Walked);
+  ExecPlan::compile(Contracted, Options).run(Planned);
+  EXPECT_EQ(DataEnv::maxAbsDifference(Walked, Planned, Prog), 0.0);
+}
+
+TEST(ContractTest, DropsOnlyTheDimensionsOneIterationDefines) {
+  // T is written in one level loop and read in another under the same
+  // block: the level index must stay, the block index goes.
+  Program Prog("partial");
+  Prog.addArray("X", {CB, CK, CN});
+  Prog.addArray("Y", {CB, CK, CN});
+  Prog.addArray("T", {CB, CK, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jk"), ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jk", 0, CK,
+               {forLoop("jl", 0, CN,
+                        {assign("S0", "T", Idx, read("X", Idx) + lit(1.0))})}),
+       forLoop("jk", 0, CK,
+               {forLoop("jl", 0, CN,
+                        {assign("S1", "Y", Idx,
+                                read("T", Idx) * lit(3.0))})})}));
+  Program Contracted = Prog.clone();
+  EXPECT_EQ(contractTransients(Contracted).ArraysContracted, 1);
+  EXPECT_EQ(Contracted.array("T").Shape, (std::vector<int64_t>{CK, CN}));
+  EXPECT_TRUE(treeWalksIdentical(Prog, Contracted));
+}
+
+TEST(ContractTest, ReadBeforeTheIterationsWriteIsKept) {
+  // An accumulator: each block reads T before writing it.
+  Program Prog("accumulate");
+  Prog.addArray("X", {CB, CN});
+  Prog.addArray("Y", {CB, CN});
+  Prog.addArray("T", {CB, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jl", 0, CN,
+               {assign("S0", "T", Idx, read("T", Idx) + read("X", Idx))}),
+       forLoop("jl", 0, CN,
+               {assign("S1", "Y", Idx, read("T", Idx))})}));
+  expectNotContracted(Prog);
+}
+
+TEST(ContractTest, SubscriptOffsetFromItsIteratorIsKept) {
+  // T[b][jk-1][jl] reads the previous level's value.
+  Program Prog("offset");
+  Prog.addArray("X", {CB, CK, CN});
+  Prog.addArray("Y", {CB, CK, CN});
+  Prog.addArray("T", {CB, CK, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jk"), ax("jl")};
+  std::vector<AffineExpr> Prev = {ax("b"), ax("jk") - 1, ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jk", 1, CK,
+               {forLoop("jl", 0, CN, {assign("S0", "T", Idx, read("X", Idx))}),
+                forLoop("jl", 0, CN,
+                        {assign("S1", "Y", Idx,
+                                read("T", Prev) + lit(1.0))})})}));
+  expectNotContracted(Prog);
+}
+
+TEST(ContractTest, TransientNamedByACallIsKept) {
+  // Without the call, T[b][jl] contracts to T[jl].
+  Program Prog("call");
+  Prog.addArray("X", {CB, CN});
+  Prog.addArray("Y", {CB, CN});
+  Prog.addArray("T", {CB, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jl", 0, CN, {assign("S0", "T", Idx, read("X", Idx))}),
+       forLoop("jl", 0, CN,
+               {assign("S1", "Y", Idx, read("T", Idx) * lit(2.0))})}));
+  Program Control = Prog.clone();
+  EXPECT_EQ(contractTransients(Control).ArraysContracted, 1);
+
+  Prog.addArray("y", {CB});
+  Prog.addArray("x", {CN});
+  Prog.append(std::make_shared<CallNode>(
+      BlasKind::Gemv, std::vector<std::string>{"y", "T", "x"},
+      std::vector<int64_t>{CB, CN}));
+  expectNotContracted(Prog);
+}
+
+TEST(ContractTest, AccessesInTwoTopLevelNestsAreKept) {
+  Program Prog("two-nests");
+  Prog.addArray("X", {CB, CN});
+  Prog.addArray("Y", {CB, CN});
+  Prog.addArray("T", {CB, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("b"), ax("jl")};
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jl", 0, CN, {assign("S0", "T", Idx, read("X", Idx))})}));
+  Prog.append(forLoop(
+      "b", 0, CB,
+      {forLoop("jl", 0, CN,
+               {assign("S1", "Y", Idx, read("T", Idx) * lit(2.0))})}));
+  expectNotContracted(Prog);
+}
+
+TEST(ContractTest, OpaqueLoopIsKept) {
+  Program Prog = makeDaCeShapedProgram();
+  dynCast<Loop>(Prog.topLevel()[0])->setOpaque(true);
+  expectNotContracted(Prog);
+}
+
+TEST(ContractTest, BoundUsingADroppedIteratorIsKept) {
+  // The column loop's trip count depends on the row: rows touch
+  // different elements, so neither dimension can go.
+  Program Prog("triangular");
+  Prog.addArray("X", {CN, CN});
+  Prog.addArray("Y", {CN, CN});
+  Prog.addArray("T", {CN, CN}, /*Transient=*/true);
+  std::vector<AffineExpr> Idx = {ax("i"), ax("j")};
+  Prog.append(forLoop(
+      "i", 0, CN,
+      {forLoop("j", ac(0), ax("i") + 1,
+               {assign("S0", "T", Idx, read("X", Idx) * lit(2.0)),
+                assign("S1", "Y", Idx, read("T", Idx) + lit(1.0))})}));
+  expectNotContracted(Prog);
+}
+
+//===----------------------------------------------------------------------===//
 // Fusion
 //===----------------------------------------------------------------------===//
 
@@ -248,6 +479,43 @@ TEST(FuseTest, FuseLoopsPreservesSemantics) {
   Fused.topLevel().clear();
   Fused.append(fuseLoops(L1, L2));
   EXPECT_TRUE(semanticallyEquivalent(Prog, Fused));
+}
+
+TEST(FuseTest, FusedLoopDropsParallelMarks) {
+  // Each loop alone is parallel, and the pair may fuse (every A[i-1] is
+  // produced earlier in the fused order), but the fused loop carries the
+  // A dependence: a 4-thread plan that kept the mark would let one chunk
+  // read A before the previous chunk wrote it.
+  constexpr int N = 1 << 20;
+  Program Prog("fuse-marks");
+  Prog.addArray("X", {N});
+  Prog.addArray("A", {N});
+  Prog.addArray("B", {N});
+  auto L1 = std::static_pointer_cast<Loop>(forLoop(
+      "i", 1, N,
+      {assign("S0", "A", {ax("i")}, lit(3.0) * read("X", {ax("i")}))}));
+  auto L2 = std::static_pointer_cast<Loop>(forLoop(
+      "j", 1, N,
+      {assign("S1", "B", {ax("j")}, read("A", {ax("j") - 1}) + lit(1.0))}));
+  L1->setParallel(true);
+  L2->setParallel(true);
+  ASSERT_TRUE(canFuseLoops(L1, L2, Prog.params()));
+
+  Program Fused = Prog.clone();
+  Fused.topLevel().clear();
+  Fused.append(fuseLoops(L1, L2));
+  const NodePtr &FusedLoop = Fused.topLevel()[0];
+  EXPECT_TRUE(parallelizableLoops(FusedLoop, Fused.params()).empty());
+  EXPECT_FALSE(dynCast<Loop>(FusedLoop)->isParallel());
+
+  PlanOptions Options;
+  Options.NumThreads = 4;
+  DataEnv Walked(Fused), Planned(Fused);
+  Walked.initDeterministic(5);
+  Planned.initDeterministic(5);
+  interpretTreeWalk(Fused, Walked);
+  ExecPlan::compile(Fused, Options).run(Planned);
+  EXPECT_EQ(DataEnv::maxAbsDifference(Walked, Planned, Fused), 0.0);
 }
 
 TEST(FuseTest, FuseProducerConsumersCollapsesChain) {
