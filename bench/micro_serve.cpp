@@ -22,10 +22,10 @@
 // the queue-depth histogram per async configuration.
 //
 // Self-checks (always on, regardless of flags): async/batched results
-// are bit-identical to synchronous Kernel::run at every shard {1,2} x
-// worker {1,2,4} x batch {off,on} x scheduling {fifo, fairshare}
-// configuration on both workloads, and every completed light-tenant
-// flood request is bit-checked too.
+// are bit-identical to synchronous Kernel::run at every worker {1,2,4} x
+// batch {off,on} x scheduling {fifo, fairshare} configuration on both
+// workloads, and every completed light-tenant flood request is
+// bit-checked too.
 //
 // Tail latency: a seeded bursty heavy-tailed trace (Poisson bursts,
 // ~85% tiny blends / ~10% mid gemms / ~5% multi-millisecond heavy gemms,
@@ -222,7 +222,7 @@ struct AsyncHarness {
   }
 };
 
-/// Bit-identity: four fresh requests through a (Shards, Workers, Batch,
+/// Bit-identity: four fresh requests through a (Workers, Batch,
 /// Scheduling) server must reproduce the synchronous reference exactly.
 /// FairShare submits under two tenants so the deficit-round-robin path
 /// serves the requests.
@@ -231,42 +231,39 @@ void checkIdentity(const Program &Prog, const char *Name) {
   Kernel Direct = Kernel::compile(Prog);
   if (!Direct.run(Reference.binding()))
     fail("reference run failed");
-  for (size_t Shards : {size_t(1), size_t(2)})
-    for (int Workers : {1, 2, 4})
-      for (size_t MaxBatch : {size_t(1), size_t(8)})
-        for (SchedulerPolicy Policy :
-             {SchedulerPolicy::Fifo, SchedulerPolicy::FairShare}) {
-          ServerOptions Options;
-          Options.Shards = Shards;
-          Options.Workers = Workers;
-          Options.MaxBatch = MaxBatch;
-          Options.Scheduling = Policy;
-          Server S(Options);
-          Kernel K = S.compile(Prog);
-          constexpr int Requests = 4;
-          std::vector<std::unique_ptr<OwnedArgs>> Owned;
-          std::vector<std::future<RunStatus>> Futures;
-          for (int I = 0; I < Requests; ++I) {
-            Owned.push_back(std::make_unique<OwnedArgs>(Prog));
-            SubmitOptions SO;
-            SO.Tenant = static_cast<uint32_t>(I % 2);
-            Futures.push_back(
-                S.submit(K, K.bind(Owned.back()->binding()), SO));
-          }
-          for (int I = 0; I < Requests; ++I) {
-            if (!Futures[I].get().ok())
-              fail("async request failed during identity check");
-            if (Owned[I]->Buffers != Reference.Buffers) {
-              std::fprintf(
-                  stderr,
-                  "FAIL: %s async results diverge from synchronous run "
-                  "at shards=%zu workers=%d batch=%zu policy=%s\n",
-                  Name, Shards, Workers, MaxBatch,
-                  Policy == SchedulerPolicy::Fifo ? "fifo" : "fairshare");
-              std::exit(1);
-            }
+  for (int Workers : {1, 2, 4})
+    for (size_t MaxBatch : {size_t(1), size_t(8)})
+      for (SchedulerPolicy Policy :
+           {SchedulerPolicy::Fifo, SchedulerPolicy::FairShare}) {
+        ServerOptions Options;
+        Options.Workers = Workers;
+        Options.MaxBatch = MaxBatch;
+        Options.Scheduling = Policy;
+        Server S(Options);
+        Kernel K = S.compile(Prog);
+        constexpr int Requests = 4;
+        std::vector<std::unique_ptr<OwnedArgs>> Owned;
+        std::vector<std::future<RunStatus>> Futures;
+        for (int I = 0; I < Requests; ++I) {
+          Owned.push_back(std::make_unique<OwnedArgs>(Prog));
+          SubmitOptions SO;
+          SO.Tenant = static_cast<uint32_t>(I % 2);
+          Futures.push_back(S.submit(K, K.bind(Owned.back()->binding()), SO));
+        }
+        for (int I = 0; I < Requests; ++I) {
+          if (!Futures[I].get().ok())
+            fail("async request failed during identity check");
+          if (Owned[I]->Buffers != Reference.Buffers) {
+            std::fprintf(
+                stderr,
+                "FAIL: %s async results diverge from synchronous run "
+                "at workers=%d batch=%zu policy=%s\n",
+                Name, Workers, MaxBatch,
+                Policy == SchedulerPolicy::Fifo ? "fifo" : "fairshare");
+            std::exit(1);
           }
         }
+      }
 }
 
 struct AsyncRow {
@@ -674,7 +671,7 @@ struct OnlineTuningRow {
 };
 
 /// One closed-loop latency row on the naive gemm nest. With \p Tuning
-/// the engine shard's background tuner lane samples every run, and the
+/// the server engine's background tuner lane samples every run, and the
 /// warmup phase runs until the re-searched plan (the BLAS-call lift of
 /// the nest — bit-identical accumulation order, far faster) is
 /// hot-swapped in on measured gain; the steady-state measurement then
@@ -730,10 +727,7 @@ OnlineTuningRow tuningRound(bool Tuning) {
   // Warmup. With tuning on, drive traffic until the tuner lane has
   // measured, probed, and promoted (bounded at ~5 s — the gate below
   // catches a missing swap).
-  auto SwapsNow = [&]() -> int64_t {
-    HealthSnapshot Health = S.health();
-    return Health.Shards.empty() ? 0 : Health.Shards[0].TuneSwaps;
-  };
+  auto SwapsNow = [&]() -> int64_t { return S.health().TuneSwaps; };
   double WarmupStart = now();
   do {
     for (int I = 0; I < 16; ++I)
@@ -750,10 +744,8 @@ OnlineTuningRow tuningRound(bool Tuning) {
   Row.P50Us = quantileUs(Sojourns, 0.50);
   Row.P99Us = quantileUs(Sojourns, 0.99);
   HealthSnapshot Health = S.health();
-  if (!Health.Shards.empty()) {
-    Row.TuneSwaps = Health.Shards[0].TuneSwaps;
-    Row.TuneRollbacks = Health.Shards[0].TuneRollbacks;
-  }
+  Row.TuneSwaps = Health.TuneSwaps;
+  Row.TuneRollbacks = Health.TuneRollbacks;
   return Row;
 }
 
@@ -811,9 +803,8 @@ int main(int Argc, char **Argv) {
 
   checkIdentity(Gemm, "gemm");
   checkIdentity(Blend, "blend");
-  std::printf("bit-identity: async == sync at shards {1,2} x workers "
-              "{1,2,4} x batch {off,on} x {fifo,fairshare} on both "
-              "workloads\n\n");
+  std::printf("bit-identity: async == sync at workers {1,2,4} x batch "
+              "{off,on} x {fifo,fairshare} on both workloads\n\n");
 
   std::printf("requests/s (pipelined %d deep on the async rows):\n",
               InFlight);

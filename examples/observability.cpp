@@ -117,8 +117,8 @@ int main() {
 
   // 5. A tuner cycle on the sampled traffic (Interval 0 = no background
   //    lane; a real service lets the tuner's own lane do this).
-  if (S.shard(0).tuner())
-    (void)S.shard(0).tuner()->runCycle(); // tune.cycle span.
+  if (S.engine().tuner())
+    (void)S.engine().tuner()->runCycle(); // tune.cycle span.
 
   // 6. The per-stage latency decomposition, from the server's log-linear
   //    histograms: where did a request's time actually go?

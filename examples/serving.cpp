@@ -3,9 +3,9 @@
 // Part of the daisy project. MIT license.
 //
 // How a daisy-embedding service serves kernels to many concurrent
-// clients: one serve::Server over sharded engines, validate-once
-// BoundArgs, futures from submit, explicit backpressure, and a graceful
-// drain. Build and run:
+// clients: one serve::Server over one engine, validate-once BoundArgs,
+// futures from submit, explicit backpressure, and a graceful drain.
+// Build and run:
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/serving
@@ -48,25 +48,25 @@ Program makeGemm(int N) {
 int main() {
   resetStatsCounters();
 
-  // 1. One Server per process: engine shards (each with its own plan
-  //    cache and tuning database), a bounded request queue with an
-  //    explicit overload policy, and a worker pool draining it.
+  // 1. One Server per process: one engine (plan cache and tuning
+  //    database), a bounded request queue with an explicit overload
+  //    policy, and a worker pool draining it.
   ServerOptions Options;
-  Options.Shards = 2;
   Options.Workers = 2;
   Options.QueueCapacity = 256;
   Options.Policy = BackpressurePolicy::Block; // or Reject -> Overloaded
   Options.MaxBatch = 8;                       // same-kernel micro-batching
   Server S(Options);
 
-  // 2. Compile through the server: programs route to a shard by
-  //    structural identity, so recompiles of the same kernel always hit
-  //    the same shard-local plan cache.
+  // 2. Compile through the server: its engine's plan cache is keyed by
+  //    structural identity, so a recompile of the same kernel is a hit.
   int N = 48;
   Kernel K = S.compile(makeGemm(N));
-  std::printf("compiled gemm onto a %zu-shard server (%lld plan compile)\n",
-              S.shardCount(),
-              static_cast<long long>(statsCounter("Engine.PlanCompiles")));
+  (void)S.compile(makeGemm(N)); // A plan-cache hit: no second compile.
+  std::printf("compiled gemm twice through the server (%lld plan compile, "
+              "%zu cached kernel)\n",
+              static_cast<long long>(statsCounter("Engine.PlanCompiles")),
+              S.engine().planCacheSize());
 
   // 3. Bind once, submit many. Kernel::bind pays the name-to-slot
   //    validation exactly once; every submit after that is

@@ -60,24 +60,6 @@ uint64_t planKey(const Program &Prog, const PlanOptions &Options) {
   return D.value();
 }
 
-/// Engines constructed over the same shared database must serialize
-/// against each other, not just against themselves: the registry hands
-/// every engine holding the same database instance the same mutex.
-/// Entries are never removed — a process hosts a handful of engines, and
-/// an address-reused key would only mean sharing a mutex with a
-/// stranger (harmless contention), never a dangling reference.
-std::mutex &dbMutexFor(const TransferTuningDatabase *Db) {
-  static std::mutex RegistryMutex;
-  static std::unordered_map<const TransferTuningDatabase *,
-                            std::unique_ptr<std::mutex>>
-      Registry;
-  std::lock_guard<std::mutex> Lock(RegistryMutex);
-  std::unique_ptr<std::mutex> &Slot = Registry[Db];
-  if (!Slot)
-    Slot = std::make_unique<std::mutex>();
-  return *Slot;
-}
-
 } // namespace
 
 Engine::Engine(EngineOptions Options)
@@ -85,9 +67,8 @@ Engine::Engine(EngineOptions Options)
       Budget(Opts.MemoryBudgetBytes
                  ? std::make_shared<MemoryBudget>(Opts.MemoryBudgetBytes)
                  : nullptr),
-      Db(Opts.Database ? Opts.Database
-                       : std::make_shared<TransferTuningDatabase>()),
-      Eval(Opts.Sim, Opts.Eval), DbMutex(dbMutexFor(Db.get())) {
+      Db(std::make_shared<TransferTuningDatabase>()),
+      Eval(Opts.Sim, Opts.Eval) {
   loadCheckpointAtConstruction();
   if (Opts.OnlineTuning.Enable) {
     Tuner = std::make_unique<OnlineTuner>(*this, Opts.OnlineTuning);

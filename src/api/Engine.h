@@ -17,8 +17,8 @@
 ///   capacity and hit/miss/compile counters in support/Statistics
 ///   ("Engine.PlanCacheHits" / "Engine.PlanCacheMisses" /
 ///   "Engine.PlanCompiles");
-/// - a TransferTuningDatabase (engine-owned by default, shareable across
-///   engines via EngineOptions);
+/// - a TransferTuningDatabase, optionally persisted to one checkpoint
+///   lineage (EngineOptions::DatabasePath);
 /// - the search Evaluator — one simulation cache and one batch-thread
 ///   configuration for every optimize/seedDatabase call this engine runs,
 ///   so tuning state accumulates across programs the way the paper's
@@ -90,9 +90,6 @@ struct EngineOptions {
   /// MemoryBudget::tryCharge, so the accounted total never exceeds this
   /// bound at any instant.
   size_t MemoryBudgetBytes = 0;
-  /// Transfer-tuning database to share; null allocates an engine-owned
-  /// empty database.
-  std::shared_ptr<TransferTuningDatabase> Database;
   /// Durable tuning-database state (empty = in-memory only). When set,
   /// construction loads the newest valid checkpoint at this path —
   /// support/Persist validates magic, version, and a CRC32 of the
@@ -250,12 +247,11 @@ public:
   /// (default options; DAISY_THREADS-resolved plan threading).
   static Engine &shared();
 
-  /// Stable routing identity of \p Prog: the marks-aware structural hash
-  /// combined with the array/param digest — the plan-cache key minus the
-  /// plan options. The serving runtime (serve/Server.h) routes programs
-  /// to engine shards by this key, so structurally identical programs
-  /// always land on the shard whose plan cache and tuning database
-  /// already know them.
+  /// Stable identity of \p Prog as a kernel: the marks-aware structural
+  /// hash combined with the array/param digest — the plan-cache key minus
+  /// the plan options. The quarantine breakers and the online tuner key
+  /// kernels by it, so a kernel's breaker, tuner entry and calibration
+  /// survive plan-cache eviction and recompiles of the same program.
   static uint64_t routingKey(const Program &Prog);
 
 private:
@@ -295,10 +291,8 @@ private:
   Evaluator Eval;
 
   /// Serializes database writes (seedDatabase) against database reads
-  /// (schedule / optimize), which iterate the entry vector. Engines
-  /// sharing one database (EngineOptions::Database) resolve to the same
-  /// mutex, so the thread-safety contract holds across engines too.
-  std::mutex &DbMutex;
+  /// (schedule / optimize), which iterate the entry vector.
+  mutable std::mutex DbMutex;
 
   /// Entries hold a future so a cold compile blocks only requests for
   /// the *same* program; hits on other keys never wait behind it.

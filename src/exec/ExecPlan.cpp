@@ -22,6 +22,20 @@
 
 using namespace daisy;
 
+/// Starts the executor's hot functions on a cache-line boundary. Their
+/// speed depends on where they fall modulo 64 bytes (a 16-byte shift made
+/// jacobi-2d's plan run about 1.5x slower on a 4-vCPU x86-64 host), and
+/// unaligned, an edit to any file linked before this one moves them. One
+/// 64-aligned function also aligns this object's .text, so every
+/// function here keeps its offset modulo 64 whatever precedes it. It is
+/// an attribute rather than a compiler flag so that every build of the
+/// library gets it.
+#if defined(__GNUC__) || defined(__clang__)
+#define DAISY_HOT_ALIGN __attribute__((aligned(64)))
+#else
+#define DAISY_HOT_ALIGN
+#endif
+
 namespace {
 
 /// Kernels address loads through small fixed-size scratch arrays.
@@ -771,7 +785,7 @@ public:
     }
   }
 
-  void exec(size_t Begin, size_t End);
+  DAISY_HOT_ALIGN void exec(size_t Begin, size_t End);
 
   /// Lastprivate semantics: the thread that ran the chunk containing the
   /// final iterations copies its private buffers back to the shared ones,
@@ -853,13 +867,14 @@ private:
     Ptrs[S.Write.Slot][WOff] = Value;
   }
 
-  void runInner(const PlanOp &Op, int64_t Lo, int64_t Hi);
-  void runBlocks(const PlanOp &Op, int64_t Lo, int64_t N);
-  void runKernel(const PlanOp &Op, const CompiledStmt &S, int64_t Lo,
-                 int64_t N);
-  void runCall(const PlanOp &Op);
-  void forkLoop(const PlanOp &Op, size_t Pc,
-                const std::vector<std::pair<int64_t, int64_t>> &Chunks);
+  DAISY_HOT_ALIGN void runInner(const PlanOp &Op, int64_t Lo, int64_t Hi);
+  DAISY_HOT_ALIGN void runBlocks(const PlanOp &Op, int64_t Lo, int64_t N);
+  DAISY_HOT_ALIGN void runKernel(const PlanOp &Op, const CompiledStmt &S,
+                                 int64_t Lo, int64_t N);
+  DAISY_HOT_ALIGN void runCall(const PlanOp &Op);
+  DAISY_HOT_ALIGN void
+  forkLoop(const PlanOp &Op, size_t Pc,
+           const std::vector<std::pair<int64_t, int64_t>> &Chunks);
 };
 
 } // namespace daisy

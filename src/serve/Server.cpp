@@ -53,7 +53,7 @@ std::chrono::microseconds jitteredBackoff(std::chrono::microseconds Backoff) {
 } // namespace
 
 Server::Server(ServerOptions Options)
-    : Opts(std::move(Options)),
+    : Opts(std::move(Options)), Eng(Opts.Engine),
       CSubmitted(statsCounterCell("Serve.Submitted")),
       CCompleted(statsCounterCell("Serve.Completed")),
       CRejected(statsCounterCell("Serve.Rejected")),
@@ -71,18 +71,6 @@ Server::Server(ServerOptions Options)
       TnQueueWait(traceNameId("serve.queue_wait")),
       TnBatchWait(traceNameId("serve.batch_wait")),
       TnRun(traceNameId("serve.run")) {
-  size_t ShardCount = std::max<size_t>(Opts.Shards, 1);
-  Shards.reserve(ShardCount);
-  for (size_t I = 0; I < ShardCount; ++I) {
-    EngineOptions ShardOpts = Opts.Engine;
-    // Each shard persists its own checkpoint lineage: the routing-key
-    // partition of the kernel population is also a partition of the
-    // tuning entries, so shards never contend on (or clobber) one file.
-    if (!ShardOpts.DatabasePath.empty() && ShardCount > 1)
-      ShardOpts.DatabasePath += ".shard" + std::to_string(I);
-    Shards.push_back(std::make_unique<Engine>(std::move(ShardOpts)));
-  }
-
   if (Opts.BrownoutHighWater > 0.0) {
     double Cap = static_cast<double>(std::max<size_t>(Opts.QueueCapacity, 1));
     BrownoutHighDepth = std::max<size_t>(
@@ -120,10 +108,6 @@ Server::~Server() {
   // workers.
 }
 
-Engine &Server::shardFor(const Program &Prog) {
-  return *Shards[Engine::routingKey(Prog) % Shards.size()];
-}
-
 Server::TenantCounters &Server::tenantCounters(uint32_t Tenant) {
   std::lock_guard<std::mutex> Lock(TenantMutex);
   auto It = TenantStats.find(Tenant);
@@ -140,12 +124,10 @@ Server::TenantCounters &Server::tenantCounters(uint32_t Tenant) {
   return It->second;
 }
 
-Kernel Server::compile(const Program &Prog) {
-  return shardFor(Prog).compile(Prog);
-}
+Kernel Server::compile(const Program &Prog) { return Eng.compile(Prog); }
 
 Kernel Server::optimize(const Program &Prog, const TuneOptions &Options) {
-  return shardFor(Prog).optimize(Prog, Options);
+  return Eng.optimize(Prog, Options);
 }
 
 std::future<RunStatus> Server::submit(const Kernel &K, BoundArgs Args,
@@ -393,15 +375,13 @@ void Server::drain() {
     std::unique_lock<std::mutex> Lock(DrainMutex);
     DrainCV.wait(Lock, [&] { return Finished == Admitted.load(); });
   }
-  // Quiescent point: everything admitted has completed, so the databases
-  // are as consistent as they get — persist any shard that changed.
-  // No-op for shards without a DatabasePath or with unchanged entries.
-  // Tuning cycles are drained first so a calibration recorded by an
-  // in-flight cycle makes this checkpoint instead of the next one.
-  for (auto &Shard : Shards) {
-    Shard->drainTuning();
-    (void)Shard->checkpointNow();
-  }
+  // Quiescent point: everything admitted has completed, so the database
+  // is as consistent as it gets — persist it if it changed. No-op without
+  // a DatabasePath or with unchanged entries. Tuning cycles are drained
+  // first so a calibration recorded by an in-flight cycle makes this
+  // checkpoint instead of the next one.
+  Eng.drainTuning();
+  (void)Eng.checkpointNow();
 }
 
 bool Server::brownoutGate() {
@@ -438,24 +418,18 @@ HealthSnapshot Server::health() {
   H.Brownout = brownoutGate();
   H.Brownouts = CBrownouts.load(std::memory_order_relaxed);
   H.BrownoutSheds = CBrownoutSheds.load(std::memory_order_relaxed);
-  H.Shards.reserve(Shards.size());
-  for (const auto &Shard : Shards) {
-    HealthSnapshot::ShardRow Row;
-    Row.Quarantined = Shard->quarantinedCount();
-    Row.CheckpointGeneration = Shard->checkpointGeneration();
-    Row.BudgetUsedBytes = Shard->memoryBytesUsed();
-    Row.BudgetPeakBytes = Shard->memoryBytesPeak();
-    Row.BudgetLimitBytes = Shard->options().MemoryBudgetBytes;
-    if (const OnlineTuner *T = Shard->tuner()) {
-      OnlineTuner::Stats S = T->stats();
-      Row.TuningEnabled = S.Enabled;
-      Row.TuneTracked = S.Tracked;
-      Row.TuneProbesInFlight = S.ProbesInFlight;
-      Row.TuneSwaps = S.Swaps;
-      Row.TuneRollbacks = S.Rollbacks;
-    }
-    H.Quarantined += Row.Quarantined;
-    H.Shards.push_back(Row);
+  H.Quarantined = Eng.quarantinedCount();
+  H.CheckpointGeneration = Eng.checkpointGeneration();
+  H.BudgetUsedBytes = Eng.memoryBytesUsed();
+  H.BudgetPeakBytes = Eng.memoryBytesPeak();
+  H.BudgetLimitBytes = Eng.options().MemoryBudgetBytes;
+  if (const OnlineTuner *T = Eng.tuner()) {
+    OnlineTuner::Stats S = T->stats();
+    H.TuningEnabled = S.Enabled;
+    H.TuneTracked = S.Tracked;
+    H.TuneProbesInFlight = S.ProbesInFlight;
+    H.TuneSwaps = S.Swaps;
+    H.TuneRollbacks = S.Rollbacks;
   }
   H.P50Us = latencyQuantileUs(0.5);
   H.P99Us = latencyQuantileUs(0.99);

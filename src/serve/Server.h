@@ -11,11 +11,11 @@
 ///
 /// A Server owns
 ///
-/// - one or more Engine shards: programs are routed to a shard by
-///   Engine::routingKey (marks-aware structural hash + data digest), so
-///   each shard's plan cache and transfer-tuning database see a stable
-///   partition of the kernel population instead of contending on one
-///   global instance;
+/// - one Engine (Server::engine()): its plan cache serves every compile
+///   and its transfer-tuning database every optimize, so a normalized
+///   variant finds the entries seeded from any other variant of its
+///   kernel, and the database persists to one checkpoint lineage at
+///   EngineOptions::DatabasePath;
 /// - one pluggable, bounded request queue (serve/Scheduler.h) chosen by
 ///   ServerOptions::Scheduling — FIFO (the default), priority lanes,
 ///   earliest-deadline-first, or deficit-weighted FairShare over
@@ -39,7 +39,7 @@
 ///
 /// The hot path is string-compare-free: arguments are prepared once with
 /// Kernel::bind and the workers execute on resolved slot tables. Results
-/// are bit-identical to synchronous Kernel::run at every shard, worker,
+/// are bit-identical to synchronous Kernel::run at every worker,
 /// scheduler, and batch configuration — workers execute on the pool, so
 /// parallel-marked loops inside a kernel degrade to serial per the
 /// ThreadPool nesting rule (bit-identical by the ExecPlan contract) and
@@ -96,10 +96,6 @@ namespace serve {
 
 /// Construction-time configuration of a Server.
 struct ServerOptions {
-  /// Number of Engine shards kernels are routed over. Each shard has its
-  /// own plan cache and (unless EngineOptions::Database is set, which
-  /// all shards then share) its own tuning database.
-  size_t Shards = 1;
   /// Worker lanes draining the queue; 0 resolves to
   /// ThreadPool::defaultThreadCount() (DAISY_THREADS or the hardware
   /// concurrency).
@@ -139,10 +135,9 @@ struct ServerOptions {
   /// (clamped below BrownoutHighWater), so a depth oscillating around
   /// the high watermark does not flap the gate per request.
   double BrownoutLowWater = 0.5;
-  /// Configuration every Engine shard is constructed with. When
-  /// EngineOptions::DatabasePath is set and Shards > 1, shard I persists
-  /// to "<DatabasePath>.shard<I>" — each shard's database is its own
-  /// checkpoint lineage, matching the routing-key partition.
+  /// Configuration of the server's Engine. With
+  /// EngineOptions::DatabasePath set, the engine recovers its database
+  /// from that path at construction and drain() checkpoints it there.
   EngineOptions Engine;
 };
 
@@ -156,29 +151,24 @@ struct HealthSnapshot {
     uint32_t Tenant = 0;
     int64_t Submitted = 0, Completed = 0, Rejected = 0, Expired = 0;
   };
-  /// One engine shard's self-protection and durability view.
-  struct ShardRow {
-    size_t Quarantined = 0; ///< Routing keys with a non-closed breaker.
-    uint64_t CheckpointGeneration = 0; ///< Newest written/recovered.
-    size_t BudgetUsedBytes = 0;  ///< Engine-retained memory right now.
-    size_t BudgetPeakBytes = 0;  ///< High-water mark.
-    size_t BudgetLimitBytes = 0; ///< 0 = unlimited.
-    /// Online tuner view (EngineOptions::OnlineTuning; zeros when off).
-    bool TuningEnabled = false;
-    size_t TuneTracked = 0;       ///< Kernels under measurement.
-    size_t TuneProbesInFlight = 0;///< Candidates awaiting a decision.
-    int64_t TuneSwaps = 0;        ///< Promoted (measured-gain) hot-swaps.
-    int64_t TuneRollbacks = 0;    ///< Probes reverted on regression.
-  };
   size_t QueueDepth = 0;           ///< Queued requests at snapshot time.
   size_t QueueCapacity = 0;        ///< Configured capacity.
   bool Brownout = false;           ///< Admission currently shedding Low.
   int64_t Brownouts = 0;           ///< Distress episodes entered so far.
   int64_t BrownoutSheds = 0;       ///< Low requests shed at admission.
-  size_t Quarantined = 0;          ///< Sum of ShardRow::Quarantined.
+  size_t Quarantined = 0;          ///< Keys with a non-closed breaker.
+  uint64_t CheckpointGeneration = 0; ///< Newest written/recovered.
+  size_t BudgetUsedBytes = 0;      ///< Engine-retained memory right now.
+  size_t BudgetPeakBytes = 0;      ///< High-water mark.
+  size_t BudgetLimitBytes = 0;     ///< 0 = unlimited.
+  /// Online tuner view (EngineOptions::OnlineTuning; zeros when off).
+  bool TuningEnabled = false;
+  size_t TuneTracked = 0;          ///< Kernels under measurement.
+  size_t TuneProbesInFlight = 0;   ///< Candidates awaiting a decision.
+  int64_t TuneSwaps = 0;           ///< Promoted (measured-gain) hot-swaps.
+  int64_t TuneRollbacks = 0;       ///< Probes reverted on regression.
   double P50Us = 0.0, P99Us = 0.0; ///< Rolling sojourn-time quantiles.
   int64_t Submitted = 0, Completed = 0, Rejected = 0, Expired = 0;
-  std::vector<ShardRow> Shards;
   std::vector<TenantRow> Tenants; ///< Every tenant seen so far.
   /// The overall verdict: admission is not shedding and no kernel is
   /// quarantined. Budget pressure informs but does not fail the
@@ -226,17 +216,14 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Compiles \p Prog through the shard owning its routing key (plan
-  /// caches stay shard-local).
+  /// Engine::compile on the server's engine (one plan cache).
   Kernel compile(const Program &Prog);
 
-  /// Engine::optimize through the owning shard (shard-local database).
+  /// Engine::optimize on the server's engine (one tuning database).
   Kernel optimize(const Program &Prog, const TuneOptions &Options = {});
 
-  /// The shard \p Prog routes to.
-  Engine &shardFor(const Program &Prog);
-  Engine &shard(size_t I) { return *Shards[I]; }
-  size_t shardCount() const { return Shards.size(); }
+  /// The engine every compile, optimize and checkpoint goes through.
+  Engine &engine() { return Eng; }
 
   /// Enqueues one run of \p K on prepared arguments and returns the
   /// future completed by a worker. Non-ok or mismatched \p Args fail the
@@ -252,8 +239,8 @@ public:
                                 const SubmitOptions &Options = {});
 
   /// Blocks until every request admitted so far (and any admitted while
-  /// draining) has completed, then checkpoints every engine shard whose
-  /// database changed (a quiescent point is the cheapest consistent one).
+  /// draining) has completed, then checkpoints the engine's database if
+  /// it changed (a quiescent point is the cheapest consistent one).
   /// The server keeps serving afterwards.
   void drain();
 
@@ -342,7 +329,7 @@ private:
   bool brownoutGate();
 
   ServerOptions Opts;
-  std::vector<std::unique_ptr<Engine>> Shards;
+  Engine Eng;
   std::unique_ptr<Scheduler> Queue;
 
   /// Pre-resolved Serve.* counter cells (support/Statistics): the hot

@@ -174,7 +174,8 @@ public:
     return Sum;
   }
 
-  /// Adds \p Other's cells into this histogram (shard aggregation).
+  /// Adds \p Other's cells into this histogram, e.g. to combine the
+  /// samples of several recorders into one distribution.
   void merge(const AtomicHistogram &Other) {
     for (size_t I = 0; I < N; ++I)
       Cells[I].fetch_add(Other.Cells[I].load(std::memory_order_relaxed),

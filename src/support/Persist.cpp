@@ -124,11 +124,16 @@ bool daisy::writeCheckpoint(const std::string &Path, const void *Payload,
     ::unlink(Tmp.c_str());
     return false;
   }
-  // Rotate the current checkpoint into the last-good slot. ENOENT (first
-  // checkpoint ever) is fine; any other failure leaves the current file
-  // untouched and keeps recovery possible, so only the final rename is
-  // load-bearing.
-  (void)::rename(Path.c_str(), checkpointPrevPath(Path).c_str());
+  // Rotate the current checkpoint into the last-good slot, but only a
+  // current file that reads back valid: after a recovery from `.prev`
+  // the current file is the torn or corrupt one, and rotating it would
+  // overwrite the one good generation left. Otherwise the final rename
+  // replaces it and `.prev` stays as it is. A missing current file (the
+  // first checkpoint ever) is not rotated either. A failed rotation
+  // leaves the current file untouched and keeps recovery possible, so
+  // only the final rename is load-bearing.
+  if (readCheckpointFile(Path, Version).Valid)
+    (void)::rename(Path.c_str(), checkpointPrevPath(Path).c_str());
   if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
     ::unlink(Tmp.c_str());
     return false;

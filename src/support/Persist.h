@@ -13,12 +13,13 @@
 /// payload size, CRC32 of the payload) followed by an opaque payload.
 /// Writes are atomic against crashes at any instant: the bytes go to
 /// `<path>.tmp`, are fsync'd, the previous checkpoint is rotated to
-/// `<path>.prev`, and the temp file renames over `<path>` — a reader
-/// never observes a half-written current file. Reads validate everything
-/// (magic, version, size, checksum); a torn, truncated, or bit-flipped
-/// current file is detected and the last good generation loads from
-/// `<path>.prev` instead, so one corrupted write never costs more than
-/// one checkpoint interval of entries.
+/// `<path>.prev` if it reads back valid, and the temp file renames over
+/// `<path>` — a reader never observes a half-written current file, and a
+/// corrupt current file never displaces the last good generation. Reads
+/// validate everything (magic, version, size, checksum); a torn,
+/// truncated, or bit-flipped current file is detected and the last good
+/// generation loads from `<path>.prev` instead, so one corrupted write
+/// never costs more than one checkpoint interval of entries.
 ///
 /// The payload is the caller's business; ByteWriter/ByteReader below are
 /// the little-endian primitives the database serializer is built from
@@ -55,8 +56,10 @@ struct CheckpointFile {
 };
 
 /// Durably writes \p Payload as the current checkpoint at \p Path
-/// (write `<path>.tmp`, fsync, rotate `<path>` to `<path>.prev`, rename
-/// the temp file into place). Returns false on any I/O failure, in which
+/// (write `<path>.tmp`, fsync, rotate `<path>` to `<path>.prev` when it
+/// is a valid checkpoint, rename the temp file into place). An invalid
+/// current file is replaced, never rotated, so `<path>.prev` keeps the
+/// last good generation. Returns false on any I/O failure, in which
 /// case the previous current file is still intact or recoverable as
 /// `<path>.prev`.
 bool writeCheckpoint(const std::string &Path, const void *Payload,

@@ -515,15 +515,11 @@ TEST(EngineTest, OptimizeReplacesGemmIdiomAndPreservesSemantics) {
   EXPECT_LE(DataEnv::maxAbsDifference(Ref, Env, Prog), 1e-9);
 }
 
-TEST(EngineTest, EnginesSharingADatabaseSynchronize) {
-  // Two engines over one database (EngineOptions::Database): concurrent
-  // seeding through one and scheduling through the other must be safe —
-  // they resolve to the same database lock. Exercised under TSan in CI.
-  auto Shared = std::make_shared<TransferTuningDatabase>();
-  EngineOptions O1, O2;
-  O1.Database = Shared;
-  O2.Database = Shared;
-  Engine E1(O1), E2(O2);
+TEST(EngineTest, ConcurrentSeedAndScheduleSynchronize) {
+  // Seeding and scheduling on one engine from two threads must be safe:
+  // seedDatabase inserts under the database lock that schedule's snapshot
+  // of the entries takes too. Exercised under TSan in CI.
+  Engine Eng;
 
   TuneOptions Tune;
   Tune.Budget.MctsRollouts = 4;
@@ -533,14 +529,14 @@ TEST(EngineTest, EnginesSharingADatabaseSynchronize) {
 
   Program G = makeGemm("i", "j", "k", 8);
   Program J = buildPolyBench(PolyBenchKernel::Jacobi2d, VariantKind::A);
-  std::thread Seeder([&] { E1.seedDatabase(G, Tune); });
+  std::thread Seeder([&] { Eng.seedDatabase(G, Tune); });
   std::thread Scheduler([&] {
     for (int I = 0; I < 4; ++I)
-      E2.schedule(J, Tune);
+      Eng.schedule(J, Tune);
   });
   Seeder.join();
   Scheduler.join();
-  EXPECT_GT(Shared->size(), 0u);
+  EXPECT_GT(Eng.database().size(), 0u);
 }
 
 TEST(EngineTest, SeedDatabaseIsOrderIndependent) {

@@ -659,9 +659,9 @@ TEST(TraceCaptureTest, ServeEngineAndTunerShareOneTrace) {
     for (auto &F : Futures)
       EXPECT_TRUE(F.get().ok());
     S.drain();
-    ASSERT_NE(S.shard(0).tuner(), nullptr);
-    (void)S.shard(0).tuner()->runCycle(); // Tune cycle span.
-    (void)S.shard(0).tuner()->runCycle();
+    ASSERT_NE(S.engine().tuner(), nullptr);
+    (void)S.engine().tuner()->runCycle(); // Tune cycle span.
+    (void)S.engine().tuner()->runCycle();
   }
   R.disable();
 

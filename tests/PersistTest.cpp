@@ -12,19 +12,24 @@
 //   detected, never silently decoded;
 // - writes are atomic with last-good rotation: a corrupted current file
 //   recovers from `<path>.prev`, so a crash mid-write costs at most one
-//   checkpoint interval of entries;
+//   checkpoint interval of entries, and the first write after such a
+//   recovery replaces the corrupt file instead of rotating it over the
+//   last good generation;
 // - the database payload format round-trips every field of every entry
 //   (including all RecipeStep kinds) and rejects garbage without reading
 //   out of bounds;
 // - kill-and-restart: a fresh Engine at the same DatabasePath recovers
 //   the checkpointed entries (counted in Engine.RecoveredEntries, corrupt
 //   files in Engine.CorruptCheckpoints) and reproduces the pre-restart
-//   schedule() plan choice with no re-search.
+//   schedule() plan choice with no re-search;
+// - a serve::Server persists its engine's database through exactly one
+//   lineage at EngineOptions::DatabasePath, checkpointed by drain().
 //
-// The PersistStagedTest at the bottom is CI's crash-recovery harness: it
+// The PersistStagedTest at the bottom holds the stages of the
+// crash-recovery drill (tests/crash_recovery_drill.sh, run by ctest): it
 // skips unless DAISY_CKPT_STAGE/DAISY_CKPT_PATH are set, letting the
-// workflow seed a checkpoint in one process, corrupt it from the shell,
-// and assert recovery in a second process — a real kill-and-restart.
+// drill seed a checkpoint in one process, corrupt it from the shell, and
+// assert recovery in a second process — a real kill-and-restart.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +39,17 @@
 #include "ir/Builder.h"
 #include "ir/StructuralHash.h"
 #include "sched/Database.h"
+#include "serve/Server.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -90,6 +98,18 @@ void flipByteAt(const std::string &Path, size_t Offset) {
 
 void truncateFileTo(const std::string &Path, size_t Bytes) {
   ASSERT_EQ(::truncate(Path.c_str(), static_cast<off_t>(Bytes)), 0) << Path;
+}
+
+/// Every file in \p Path's directory whose path starts with \p Path,
+/// sorted.
+std::vector<std::string> filesStartingWith(const std::string &Path) {
+  std::filesystem::path Dir = std::filesystem::path(Path).parent_path();
+  std::vector<std::string> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    if (Entry.path().string().rfind(Path, 0) == 0)
+      Files.push_back(Entry.path().string());
+  std::sort(Files.begin(), Files.end());
+  return Files;
 }
 
 size_t fileSize(const std::string &Path) {
@@ -245,9 +265,9 @@ TEST(PersistTest, CorruptCurrentRecoversLastGoodGeneration) {
   EXPECT_EQ(Torn.File.Payload, Old);
   EXPECT_EQ(Torn.CorruptFiles, 1);
 
-  // Re-establish a healthy pair (gen 3 rotates the torn file away, gen 4
-  // rotates good gen 3 into .prev), then flip a payload bit in the
-  // current file: same last-good recovery.
+  // Re-establish a healthy pair (gen 3 replaces the torn file and leaves
+  // gen 1 in .prev, gen 4 rotates good gen 3 into .prev), then flip a
+  // payload bit in the current file: same last-good recovery.
   ASSERT_TRUE(writeCheckpoint(P.Path, Old.data(), Old.size(), 3, 1));
   ASSERT_TRUE(writeCheckpoint(P.Path, New.data(), New.size(), 4, 1));
   flipByteAt(P.Path, CheckpointHeaderSize + 5);
@@ -262,6 +282,36 @@ TEST(PersistTest, CorruptCurrentRecoversLastGoodGeneration) {
   CheckpointLoad Lost = loadCheckpoint(P.Path, 1);
   EXPECT_FALSE(Lost.File.Valid);
   EXPECT_EQ(Lost.CorruptFiles, 2);
+}
+
+TEST(PersistTest, WriteAfterRecoveryKeepsLastGoodGeneration) {
+  TempCkpt P("after_recovery");
+  std::vector<uint8_t> Old(200, 0x11), New(240, 0x22), Newer(180, 0x33);
+  ASSERT_TRUE(writeCheckpoint(P.Path, Old.data(), Old.size(), 1, 1));
+  ASSERT_TRUE(writeCheckpoint(P.Path, New.data(), New.size(), 2, 1));
+  flipByteAt(P.Path, CheckpointHeaderSize + 5);
+  CheckpointLoad Recovered = loadCheckpoint(P.Path, 1);
+  ASSERT_TRUE(Recovered.File.Valid);
+  ASSERT_EQ(Recovered.File.Generation, 1u);
+
+  // The writer continues from the recovered generation. The corrupt
+  // current file is replaced, not rotated: .prev still holds gen 1.
+  ASSERT_TRUE(writeCheckpoint(P.Path, Newer.data(), Newer.size(), 2, 1));
+  CheckpointFile Current = readCheckpointFile(P.Path, 1);
+  ASSERT_TRUE(Current.Valid);
+  EXPECT_EQ(Current.Payload, Newer);
+  CheckpointFile Prev = readCheckpointFile(checkpointPrevPath(P.Path), 1);
+  ASSERT_TRUE(Prev.Valid);
+  EXPECT_EQ(Prev.Generation, 1u);
+  EXPECT_EQ(Prev.Payload, Old);
+
+  // A crash between the two renames of the next write leaves no current
+  // file: recovery still finds gen 1.
+  ASSERT_EQ(std::remove(P.Path.c_str()), 0);
+  CheckpointLoad AfterCrash = loadCheckpoint(P.Path, 1);
+  ASSERT_TRUE(AfterCrash.File.Valid);
+  EXPECT_EQ(AfterCrash.File.Generation, 1u);
+  EXPECT_EQ(AfterCrash.File.Payload, Old);
 }
 
 //===----------------------------------------------------------------------===//
@@ -396,6 +446,55 @@ TEST(EnginePersistTest, KillAndRestartRecoversLastGoodGeneration) {
   }
 }
 
+TEST(EnginePersistTest, CheckpointAfterRecoveryKeepsLastGoodGeneration) {
+  TempCkpt P("engine_after_recovery");
+  TuneOptions Tune = tinyTune();
+
+  size_t Gen1Entries = 0;
+  {
+    EngineOptions O;
+    O.DatabasePath = P.Path;
+    Engine E(O);
+    E.seedDatabase(makeGemm("i", "j", "k", 8), Tune);
+    Gen1Entries = E.database().size();
+    ASSERT_TRUE(E.checkpointNow());
+    E.seedDatabase(makeGemm("k", "j", "i", 8), Tune);
+    ASSERT_TRUE(E.checkpointNow());
+  }
+  flipByteAt(P.Path, CheckpointHeaderSize + 7);
+
+  resetStatsCounters();
+  {
+    EngineOptions O;
+    O.DatabasePath = P.Path;
+    Engine E(O);
+    ASSERT_EQ(E.checkpointGeneration(), 1u);
+    ASSERT_EQ(statsCounter("Engine.CorruptCheckpoints"), 1);
+    E.seedDatabase(makeGemm("j", "i", "k", 8), Tune);
+    ASSERT_TRUE(E.checkpointNow());
+    EXPECT_EQ(E.checkpointGeneration(), 2u);
+  }
+  // The recovered generation is still the rotation slot's.
+  CheckpointFile Prev =
+      readCheckpointFile(checkpointPrevPath(P.Path), DatabaseFormatVersion);
+  ASSERT_TRUE(Prev.Valid);
+  EXPECT_EQ(Prev.Generation, 1u);
+
+  // Lose the new current file, as a crash between the next write's two
+  // renames would: a fresh engine recovers all of gen 1.
+  ASSERT_EQ(std::remove(P.Path.c_str()), 0);
+  resetStatsCounters();
+  {
+    EngineOptions O;
+    O.DatabasePath = P.Path;
+    Engine E(O);
+    EXPECT_EQ(E.checkpointGeneration(), 1u);
+    EXPECT_EQ(E.database().size(), Gen1Entries);
+    EXPECT_EQ(statsCounter("Engine.RecoveredEntries"),
+              static_cast<int64_t>(Gen1Entries));
+  }
+}
+
 TEST(EnginePersistTest, RestartReproducesPlanChoiceWithoutReSearch) {
   TempCkpt P("engine_plan");
   TuneOptions Tune = tinyTune();
@@ -459,7 +558,57 @@ TEST(EnginePersistTest, BackgroundLaneCheckpointsAtInterval) {
 }
 
 //===----------------------------------------------------------------------===//
-// CI crash-recovery harness (multi-process kill-and-restart)
+// Server persistence: one engine, one lineage
+//===----------------------------------------------------------------------===//
+
+TEST(ServerPersistTest, DrainCheckpointsOneLineage) {
+  TempCkpt P("server");
+  TuneOptions Tune = tinyTune();
+  Program A = makeGemm("i", "j", "k", 8);
+  Program B = makeGemm("k", "j", "i", 8);
+
+  uint64_t PlanBefore = 0;
+  {
+    serve::ServerOptions O;
+    O.Workers = 1;
+    O.Engine.DatabasePath = P.Path;
+    serve::Server S(O);
+    S.engine().seedDatabase(A, Tune);
+    PlanBefore = structuralHashWithMarks(S.optimize(B, Tune).program());
+
+    Kernel K = S.compile(A);
+    std::vector<double> AData(64, 1.0), BData(64, 2.0), CData(64, 0.0);
+    RunStatus Status =
+        S.submit(K, ArgBinding()
+                        .bind("A", AData)
+                        .bind("B", BData)
+                        .bind("C", CData))
+            .get();
+    ASSERT_TRUE(Status.ok()) << Status.Error;
+    S.drain();
+
+    // drain() wrote generation 1 at exactly DatabasePath, and that file
+    // is the lineage's only one (no rotation yet, no per-engine paths).
+    EXPECT_TRUE(readCheckpointFile(P.Path, DatabaseFormatVersion).Valid);
+    EXPECT_EQ(filesStartingWith(P.Path),
+              std::vector<std::string>{P.Path});
+    EXPECT_EQ(S.health().CheckpointGeneration, 1u);
+  }
+
+  resetStatsCounters();
+  {
+    serve::ServerOptions O;
+    O.Workers = 1;
+    O.Engine.DatabasePath = P.Path;
+    serve::Server S(O);
+    EXPECT_GT(statsCounter("Engine.RecoveredEntries"), 0);
+    EXPECT_EQ(structuralHashWithMarks(S.optimize(B, Tune).program()),
+              PlanBefore);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Crash-recovery drill stages (multi-process kill-and-restart)
 //===----------------------------------------------------------------------===//
 
 // Two stages driven by environment variables, skipped otherwise:
@@ -470,9 +619,10 @@ TEST(EnginePersistTest, BackgroundLaneCheckpointsAtInterval) {
 //                            (and, with DAISY_CKPT_EXPECT_CORRUPT=n, that
 //                            at least n corrupt files were detected).
 //
-// CI runs seed, corrupts the current file from the shell (truncate or
-// bit-flip), then runs recover in a new process — the checkpoint must
-// recover the last good generation across a real process boundary.
+// tests/crash_recovery_drill.sh runs seed, corrupts the current file
+// from the shell (truncate or bit-flip), then runs recover in a new
+// process — the checkpoint must recover the last good generation across
+// a real process boundary.
 TEST(PersistStagedTest, CrashRecoveryStage) {
   const char *Stage = std::getenv("DAISY_CKPT_STAGE");
   const char *Path = std::getenv("DAISY_CKPT_PATH");

@@ -150,7 +150,6 @@ void runFaultScenario(const std::string &Spec, const std::string &Site,
   FaultInjector Inj(Spec, Seed);
 
   ServerOptions Options;
-  Options.Shards = 1;
   Options.Workers = 2;
   Options.QueueCapacity = 8;
   Options.Policy = BackpressurePolicy::Reject;
@@ -252,11 +251,8 @@ void runFaultScenario(const std::string &Spec, const std::string &Site,
   }
   // The budget byte counter never exceeded its bound at any instant —
   // MemoryBudget::tryCharge's CAS contract, observed through the peak.
-  for (size_t I = 0; I < S.shardCount(); ++I) {
-    EXPECT_LE(S.shard(I).memoryBytesPeak(), BudgetBytes) << "shard " << I;
-    EXPECT_LE(S.shard(I).memoryBytesUsed(), S.shard(I).memoryBytesPeak())
-        << "shard " << I;
-  }
+  EXPECT_LE(S.engine().memoryBytesPeak(), BudgetBytes);
+  EXPECT_LE(S.engine().memoryBytesUsed(), S.engine().memoryBytesPeak());
   // An env-armed scenario (DAISY_FAILPOINTS) can legitimately starve
   // this scenario's own site — e.g. an armed "engine.budget" can deny
   // both server-side compile charges, leaving every request
@@ -364,7 +360,7 @@ TEST(ServeFaultTest, QuarantineOpensReroutesThenProbeRecloses) {
     EXPECT_GE(statsCounter("Engine.RunFaults"), 3);
     EXPECT_GE(statsCounter("Engine.Quarantined"), 1);
     EXPECT_GE(statsCounter("Engine.QuarantineReroutes"), 1);
-    EXPECT_EQ(S.shard(0).quarantinedCount(), 1u);
+    EXPECT_EQ(S.engine().quarantinedCount(), 1u);
     HealthSnapshot Sick = S.health();
     EXPECT_EQ(Sick.Quarantined, 1u);
     EXPECT_FALSE(Sick.healthy());
@@ -373,12 +369,12 @@ TEST(ServeFaultTest, QuarantineOpensReroutesThenProbeRecloses) {
   // Past the cooldown, the half-open probe runs the real plan again,
   // succeeds, and re-closes the breaker.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  for (int I = 0; I < 3 && S.shard(0).quarantinedCount() != 0; ++I) {
+  for (int I = 0; I < 3 && S.engine().quarantinedCount() != 0; ++I) {
     OwnedArgs Args(Prog, 5);
     EXPECT_TRUE(S.submit(K, K.bind(Args.binding())).get().ok());
     EXPECT_EQ(Args.Buffers, Expected.Buffers);
   }
-  EXPECT_EQ(S.shard(0).quarantinedCount(), 0u);
+  EXPECT_EQ(S.engine().quarantinedCount(), 0u);
   EXPECT_GE(statsCounter("Engine.QuarantineProbes"), 1);
   EXPECT_TRUE(S.health().healthy());
 
@@ -413,7 +409,7 @@ TEST(ServeFaultTest, ForcedQuarantineReroutesImmediately) {
   EXPECT_GE(statsCounter("Engine.Quarantined"), 1);
   EXPECT_GE(statsCounter("Engine.QuarantineReroutes"), 1);
   EXPECT_EQ(statsCounter("Engine.RunFaults"), 0);
-  EXPECT_EQ(S.shard(0).quarantinedCount(), 1u);
+  EXPECT_EQ(S.engine().quarantinedCount(), 1u);
   S.drain();
 }
 

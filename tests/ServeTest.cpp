@@ -8,8 +8,7 @@
 // in CI, DAISY_THREADS=4):
 //
 // - submit-storm bit-identity: results of async submission are identical
-//   to synchronous Kernel::run at every shard count, worker count, and
-//   batching setting;
+//   to synchronous Kernel::run with and without batching;
 // - validate-once BoundArgs: one bind, many string-compare-free runs;
 //   handles bound against a different kernel are rejected as stale, not
 //   executed;
@@ -209,19 +208,18 @@ TEST(BoundArgsTest, DefaultHandleIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Submit storm: bit-identity across shard/worker/batch configurations
+// Submit storm: bit-identity with and without batching
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void submitStorm(size_t Shards, size_t MaxBatch) {
+void submitStorm(size_t MaxBatch) {
   std::vector<Program> Programs;
   Programs.push_back(makeGemm("i", "j", "k", 12));
   Programs.push_back(makeGemm("j", "k", "i", 12));
   Programs.push_back(makeTransientProgram(64));
 
   ServerOptions Options;
-  Options.Shards = Shards;
   Options.Workers = 4;
   Options.QueueCapacity = 256;
   Options.MaxBatch = MaxBatch;
@@ -277,30 +275,8 @@ void submitStorm(size_t Shards, size_t MaxBatch) {
 
 } // namespace
 
-TEST(ServeStormTest, OneShardUnbatched) { submitStorm(1, 1); }
-TEST(ServeStormTest, OneShardBatched) { submitStorm(1, 8); }
-TEST(ServeStormTest, TwoShardsUnbatched) { submitStorm(2, 1); }
-TEST(ServeStormTest, TwoShardsBatched) { submitStorm(2, 8); }
-
-//===----------------------------------------------------------------------===//
-// Shard routing
-//===----------------------------------------------------------------------===//
-
-TEST(ServeShardTest, RoutingIsStableAndCachesStayShardLocal) {
-  ServerOptions Options;
-  Options.Shards = 2;
-  Options.Workers = 1;
-  Server S(Options);
-  Program Prog = makeGemm("i", "j", "k", 10);
-
-  resetStatsCounters();
-  Kernel K1 = S.compile(Prog);
-  Kernel K2 = S.compile(Prog);
-  // Same routing key -> same shard -> one compile, one shared kernel.
-  EXPECT_EQ(statsCounter("Engine.PlanCompiles"), 1);
-  EXPECT_EQ(&K1.plan(), &K2.plan());
-  EXPECT_EQ(&S.shardFor(Prog), &S.shardFor(Prog));
-}
+TEST(ServeStormTest, Unbatched) { submitStorm(1); }
+TEST(ServeStormTest, Batched) { submitStorm(8); }
 
 //===----------------------------------------------------------------------===//
 // Backpressure
@@ -1244,21 +1220,20 @@ TEST(ServeBrownoutTest, BrownoutClearsAtTheLowWatermark) {
 // Health snapshot: one structured read of the runtime's vitals
 //===----------------------------------------------------------------------===//
 
-TEST(ServeHealthTest, SnapshotReportsQueuesCountersShardsAndTenants) {
+TEST(ServeHealthTest, SnapshotReportsQueuesCountersEngineAndTenants) {
   resetStatsCounters();
   ServerOptions Options;
   Options.Workers = 2;
-  Options.Shards = 2;
   Options.QueueCapacity = 32;
   Options.Engine.MemoryBudgetBytes = 64ull << 20;
   Server S(Options);
 
-  // A fresh server is healthy and idle.
+  // A fresh server is healthy and idle, and its engine holds nothing.
   HealthSnapshot Fresh = S.health();
   EXPECT_TRUE(Fresh.healthy());
   EXPECT_EQ(Fresh.QueueDepth, 0u);
   EXPECT_EQ(Fresh.QueueCapacity, 32u);
-  EXPECT_EQ(Fresh.Shards.size(), 2u);
+  EXPECT_EQ(Fresh.BudgetUsedBytes, 0u);
   EXPECT_EQ(Fresh.Submitted, 0);
 
   Program Small = makeGemm("i", "j", "k", 8);
@@ -1281,15 +1256,14 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersShardsAndTenants) {
   EXPECT_EQ(H.Submitted, H.Completed + H.Rejected + H.Expired);
   EXPECT_EQ(H.Quarantined, 0u);
   EXPECT_GE(H.P99Us, H.P50Us);
-  // Shard rows carry the self-protection vitals: budget accounting and
-  // checkpoint lineage (no DatabasePath here, so generation stays 0).
-  ASSERT_EQ(H.Shards.size(), 2u);
-  for (const HealthSnapshot::ShardRow &Row : H.Shards) {
-    EXPECT_EQ(Row.Quarantined, 0u);
-    EXPECT_EQ(Row.CheckpointGeneration, 0u);
-    EXPECT_EQ(Row.BudgetLimitBytes, 64ull << 20);
-    EXPECT_LE(Row.BudgetUsedBytes, Row.BudgetPeakBytes);
-  }
+  // The engine's self-protection vitals: budget accounting (the compiled
+  // kernel is charged) and checkpoint lineage (no DatabasePath here, so
+  // generation stays 0).
+  EXPECT_EQ(H.CheckpointGeneration, 0u);
+  EXPECT_EQ(H.BudgetLimitBytes, 64ull << 20);
+  EXPECT_GT(H.BudgetUsedBytes, 0u);
+  EXPECT_LE(H.BudgetUsedBytes, H.BudgetPeakBytes);
+  EXPECT_EQ(H.BudgetUsedBytes, S.engine().memoryBytesUsed());
   // Tenant rows mirror the per-tenant counters, sorted by id.
   ASSERT_EQ(H.Tenants.size(), 3u);
   for (size_t T = 0; T < H.Tenants.size(); ++T) {

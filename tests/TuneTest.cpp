@@ -27,7 +27,7 @@
 //   candidate lands in the rejected set, and the kernel cools down;
 // - calibration persistence: recorded scale factors survive an Engine
 //   checkpoint round-trip (DatabaseFormatVersion 2);
-// - serving surface: Server::health reports the per-shard tuner lane,
+// - serving surface: Server::health reports the engine's tuner lane,
 //   and lane context affinity counts Serve.ContextAffinityHits.
 //
 //===----------------------------------------------------------------------===//
@@ -498,7 +498,6 @@ TEST(ServeTuneTest, HealthReportsTunerAndAffinityCountsHits) {
   int64_t HitsBefore = statsCounter("Serve.ContextAffinityHits");
 
   ServerOptions Options;
-  Options.Shards = 1;
   Options.Workers = 1;
   Options.MaxBatch = 8;
   Options.QueueCapacity = 256;
@@ -531,21 +530,20 @@ TEST(ServeTuneTest, HealthReportsTunerAndAffinityCountsHits) {
   S.drain();
 
   HealthSnapshot Health = S.health();
-  ASSERT_EQ(Health.Shards.size(), 1u);
-  EXPECT_TRUE(Health.Shards[0].TuningEnabled);
-  EXPECT_GE(Health.Shards[0].TuneTracked, 1u);
+  ASSERT_NE(S.engine().tuner(), nullptr);
+  EXPECT_TRUE(Health.TuningEnabled);
+  EXPECT_GE(Health.TuneTracked, 1u);
 
   EXPECT_GT(statsCounter("Serve.ContextAffinityHits"), HitsBefore);
 }
 
 TEST(ServeTuneTest, TuningOffHealthRowsStayDark) {
   ServerOptions Options;
-  Options.Shards = 1;
   Options.Workers = 1;
   Server S(Options);
   HealthSnapshot Health = S.health();
-  ASSERT_EQ(Health.Shards.size(), 1u);
-  EXPECT_FALSE(Health.Shards[0].TuningEnabled);
-  EXPECT_EQ(Health.Shards[0].TuneTracked, 0u);
-  EXPECT_EQ(Health.Shards[0].TuneSwaps, 0);
+  EXPECT_EQ(S.engine().tuner(), nullptr);
+  EXPECT_FALSE(Health.TuningEnabled);
+  EXPECT_EQ(Health.TuneTracked, 0u);
+  EXPECT_EQ(Health.TuneSwaps, 0);
 }
