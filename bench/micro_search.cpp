@@ -111,12 +111,13 @@ struct Workload {
 Workload benchEvolve(const std::string &Name, const Program &Prog) {
   Workload W{Name, "evolve", {}};
   Program Norm = normalize(Prog);
+  const SimOptions Sim;
   std::string Reference;
   for (const Config &C : allConfigs()) {
     EvalConfig EC;
     EC.NumThreads = C.Threads;
     EC.EnableCache = C.Cache;
-    Evaluator Eval(SimOptions{}, EC);
+    Evaluator Eval(Sim, EC);
     TransferTuningDatabase Db;
     Rng Rand(7);
     std::string Result;
@@ -144,12 +145,13 @@ Workload benchSeedDatabase(const std::string &Name, const Program &Prog) {
   Workload W{Name, "seed_db", {}};
   DaisyOptions Options;
   Options.Idioms.clear();
+  const SimOptions Sim;
   std::string Reference;
   for (const Config &C : allConfigs()) {
     EvalConfig EC;
     EC.NumThreads = C.Threads;
     EC.EnableCache = C.Cache;
-    Evaluator Eval(SimOptions{}, EC);
+    Evaluator Eval(Sim, EC);
     TransferTuningDatabase Db;
     Rng Rand(7);
     std::string Result;

@@ -70,7 +70,6 @@ int main() {
   //    checkpoints), tune (cycles, probes, swaps).
   ServerOptions Options;
   Options.Workers = 2;
-  Options.MaxBatch = 8;
   Options.Engine.OnlineTuning.Enable = true;
   Options.Engine.OnlineTuning.Interval = std::chrono::microseconds(0);
   Options.Engine.OnlineTuning.SampleEvery = 1;
@@ -90,9 +89,9 @@ int main() {
   }
 
   // 4. Serve traffic. Each completed request decomposes its sojourn into
-  //    queue-wait / batch-wait / run stage spans (Chrome "X" events,
-  //    reconstructed after completion — nothing is paid per stage while
-  //    the request is in flight).
+  //    queue-wait / batch-wait (claim to dispatch start) / run stage
+  //    spans (Chrome "X" events, reconstructed after completion — nothing
+  //    is paid per stage while the request is in flight).
   struct Client {
     std::vector<double> A, B, C;
     BoundArgs Args;

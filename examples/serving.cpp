@@ -55,7 +55,6 @@ int main() {
   Options.Workers = 2;
   Options.QueueCapacity = 256;
   Options.Policy = BackpressurePolicy::Block; // or Reject -> Overloaded
-  Options.MaxBatch = 8;                       // same-kernel micro-batching
   Server S(Options);
 
   // 2. Compile through the server: its engine's plan cache is keyed by
@@ -95,8 +94,8 @@ int main() {
   for (auto &C : Clients)
     C->Done = S.submit(K, C->Args);
 
-  // 4. Futures complete as workers drain the queue; same-kernel requests
-  //    coalesce into micro-batches executed on one warm context.
+  // 4. Futures complete as workers drain the queue, one request per
+  //    dispatch on a context borrowed from the kernel's pool.
   for (size_t I = 0; I < Clients.size(); ++I) {
     RunStatus Status = Clients[I]->Done.get();
     if (!Status.ok()) {
@@ -118,11 +117,10 @@ int main() {
   //    depth distribution shows how loaded the server ran.
   S.drain();
   std::printf("counters: submitted %lld, completed %lld, rejected %lld, "
-              "batched %lld, queue-depth max %lld\n",
+              "queue-depth max %lld\n",
               static_cast<long long>(statsCounter("Serve.Submitted")),
               static_cast<long long>(statsCounter("Serve.Completed")),
               static_cast<long long>(statsCounter("Serve.Rejected")),
-              static_cast<long long>(statsCounter("Serve.BatchedRuns")),
               static_cast<long long>(statsCounter("Serve.QueueDepthMax")));
   std::printf("queue-depth histogram (log2 buckets):");
   for (uint64_t Bucket : S.queueDepthHistogram())

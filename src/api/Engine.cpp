@@ -62,6 +62,8 @@ uint64_t planKey(const Program &Prog, const PlanOptions &Options) {
 
 } // namespace
 
+Engine::Engine() : Engine(EngineOptions()) {}
+
 Engine::Engine(EngineOptions Options)
     : Opts(std::move(Options)),
       Budget(Opts.MemoryBudgetBytes

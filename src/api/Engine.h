@@ -146,7 +146,11 @@ struct TuneOptions {
 /// and share it.
 class Engine {
 public:
-  explicit Engine(EngineOptions Options = {});
+  /// An engine with default options. Defined out of line, so a plain
+  /// `Engine Eng;` does not build an EngineOptions temporary at every
+  /// call site.
+  Engine();
+  explicit Engine(EngineOptions Options);
   ~Engine();
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;

@@ -2,10 +2,9 @@
 //
 // Part of the daisy project. MIT license.
 //
-// Kernel::bind and the BoundArgs overloads of run and runBatch are
-// defined in serve/BoundArgs.cpp, next to the BoundArgs class they
-// return/consume — api stays free of upward includes (see
-// api/KernelImpl.h).
+// Kernel::bind and the BoundArgs overload of run are defined in
+// serve/BoundArgs.cpp, next to the BoundArgs class they return/consume —
+// api stays free of upward includes (see api/KernelImpl.h).
 //
 //===----------------------------------------------------------------------===//
 

@@ -23,11 +23,10 @@
 /// kernel serves any number of threads with results bit-identical to
 /// serial execution.
 ///
-/// Five run forms, from fastest to most convenient:
+/// Four run forms, from fastest to most convenient:
 ///
-/// - runBatch(BoundArgs..., Lease): the serving runtime's coalesced
-///   dispatch — many prepared argument sets on one lane-held context.
-/// - run(BoundArgs): one prepared argument set, validated once by bind().
+/// - run(BoundArgs): one prepared argument set, validated once by bind()
+///   — also what the serving runtime's workers dispatch.
 /// - run(ArgBinding): zero-copy — the caller owns every observable
 ///   array's storage and the plan executes directly on it. Bindings are
 ///   validated against the program's array declarations (unknown names,
@@ -39,7 +38,7 @@
 /// - run(Seed): allocates an environment, fills it deterministically, and
 ///   returns it (the classic runProgram() contract).
 ///
-/// The first three report failures as a RunStatus; the two DataEnv forms
+/// The first two report failures as a RunStatus; the two DataEnv forms
 /// have no status and throw instead. Every form executes through the same
 /// dispatch, so a tree-walk kernel and a hot-swapped plan behave the same
 /// on each of them.
@@ -151,8 +150,7 @@ private:
 };
 
 class KernelImpl;
-class BoundArgs;        // serve/BoundArgs.h: validate-once resolved bindings.
-class RunContextLease;  // serve/BoundArgs.h: a lane's sticky run context.
+class BoundArgs; // serve/BoundArgs.h: validate-once resolved bindings.
 
 /// Shared handle to an immutable compiled program. Default-constructed
 /// handles are empty (boolean-testable); all other members require a
@@ -182,9 +180,9 @@ public:
 
   /// True for kernels the Engine could not fit into its memory budget
   /// even after evicting the plan cache. Such a kernel still validates
-  /// and binds arguments, but every run(ArgBinding)/run(BoundArgs)/
-  /// runBatch entry completes with RunStatus::ResourceExhausted instead
-  /// of executing, and run(DataEnv&)/run(Seed) throw std::runtime_error
+  /// and binds arguments, but run(ArgBinding) and run(BoundArgs)
+  /// complete with RunStatus::ResourceExhausted instead of executing,
+  /// and run(DataEnv&)/run(Seed) throw std::runtime_error
   /// with that status's message; no form touches the caller's data. The
   /// key is not cached, so a later compile (after pressure subsides)
   /// retries for real.
@@ -227,25 +225,6 @@ public:
   /// run(ArgBinding), and bit-identical to it. Defined in
   /// serve/BoundArgs.cpp.
   RunStatus run(const BoundArgs &Args) const;
-
-  /// Micro-batch execution: runs \p Count prepared argument sets
-  /// back-to-back on one pooled context, writing one status per request
-  /// to \p Statuses. Semantically identical to \p Count run(BoundArgs)
-  /// calls (requests are independent; non-ok or stale entries fail their
-  /// status without disturbing the rest) but pays one context
-  /// acquisition for the whole batch — the serving runtime's coalesced
-  /// dispatch. The context stays in \p Lease between calls instead of
-  /// returning to the pool, so consecutive same-kernel batches on one
-  /// serving lane reuse a warm context with no pool round-trip; a lease
-  /// held for another kernel is returned to that kernel's pool and
-  /// re-borrowed from this one. Defined in serve/BoundArgs.cpp.
-  void runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
-                size_t Count, RunContextLease &Lease) const;
-
-  /// Identity of the compiled kernel behind this handle (equal tokens ==
-  /// same compiled plan and context pool). The serving runtime matches
-  /// it against BoundArgs::kernelToken to coalesce batches.
-  const void *token() const { return Impl.get(); }
 
   /// Executes on \p Env, which must have been allocated for this
   /// kernel's program (DataEnv slot order is the contract). Thread-safe

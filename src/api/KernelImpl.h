@@ -108,11 +108,11 @@ struct PlanVersion {
 ///   the semantics the ExecPlan contract is differentially tested against.
 /// - Exhausted: never executes. Engine::buildKernel returns one when the
 ///   memory budget cannot retain the kernel. It binds and validates like
-///   any other, then runGuardedSlotsOn completes it with
+///   any other, then runGuardedSlots completes it with
 ///   RunStatus::ResourceExhausted and Kernel::run(DataEnv&) throws.
 ///
 /// Every run form reaches runPreparedSlotsOn, the one place that turns
-/// the mode into an engine; runGuardedSlotsOn is the one place that
+/// the mode into an engine; runGuardedSlots is the one place that
 /// refuses an exhausted kernel.
 ///
 /// When an Engine hands the impl a MemoryBudget (attachBudget, before the
@@ -516,9 +516,8 @@ inline void runTreeWalkSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
 /// version, or else the base plan through the identity slot map.
 /// Caller-bound slots are used as-is; null slots and version-local slots
 /// (SlotMap -1) must be transient and get kernel-managed scratch zeroed
-/// each run, so semantics match a freshly allocated DataEnv. Serving
-/// micro-batches call this once per request on a single borrowed context.
-/// An Exhausted kernel never gets here: runGuardedSlotsOn and
+/// each run, so semantics match a freshly allocated DataEnv.
+/// An Exhausted kernel never gets here: runGuardedSlots and
 /// Kernel::run(DataEnv&) refuse it first.
 inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
@@ -573,9 +572,9 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
   runPreparedSlotsOn(Impl, Slots, *Ctx);
 }
 
-/// One prepared run through the self-protection layer — what every
-/// status-returning run form (run(ArgBinding), run(BoundArgs), runBatch)
-/// dispatches through, after its binding checks:
+/// One prepared run on a pooled context, through the self-protection
+/// layer — what both status-returning run forms (run(ArgBinding),
+/// run(BoundArgs)) dispatch through, after their binding checks:
 ///
 /// - An Exhausted kernel completes with RunStatus::ResourceExhausted
 ///   before any fail point is evaluated.
@@ -596,11 +595,11 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 /// which holds for every fault this layer can see today: the injected
 /// site fires before dispatch, and plan-side throws happen during setup,
 /// not mid-kernel.
-inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
-                                   const BufferRef *Slots,
-                                   KernelImpl::RunContext &Ctx) {
+inline RunStatus runGuardedSlots(const KernelImpl &Impl,
+                                 const BufferRef *Slots) {
   if (Impl.RunMode == KernelImpl::Mode::Exhausted)
     return RunStatus::resourceExhausted();
+  PooledContext Ctx(Impl);
   CircuitBreaker *Breaker = Impl.breaker();
   CircuitBreaker::Gate G = CircuitBreaker::Gate::Allow;
   if (Breaker) {
@@ -614,7 +613,7 @@ inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
     if (G == CircuitBreaker::Gate::Reroute) {
       addStatsCounter("Engine.QuarantineReroutes");
       try {
-        runTreeWalkSlotsOn(Impl, Slots, Ctx);
+        runTreeWalkSlotsOn(Impl, Slots, *Ctx);
         return {};
       } catch (const std::exception &E) {
         return RunStatus::faulted(E.what());
@@ -624,7 +623,7 @@ inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
   try {
     if (DAISY_FAILPOINT("kernel.run"))
       throw std::runtime_error("injected fault at fail point 'kernel.run'");
-    runProfiledSlotsOn(Impl, Slots, Ctx);
+    runProfiledSlotsOn(Impl, Slots, *Ctx);
     if (Breaker)
       Breaker->recordSuccess(G);
     return {};
@@ -634,20 +633,13 @@ inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
     Breaker->recordFailure(G);
     addStatsCounter("Engine.RunFaults");
     try {
-      runTreeWalkSlotsOn(Impl, Slots, Ctx);
+      runTreeWalkSlotsOn(Impl, Slots, *Ctx);
       addStatsCounter("Engine.FaultHeals");
       return {};
     } catch (...) {
       return RunStatus::faulted(E.what());
     }
   }
-}
-
-/// Single-run convenience over runGuardedSlotsOn.
-inline RunStatus runGuardedSlots(const KernelImpl &Impl,
-                                 const BufferRef *Slots) {
-  PooledContext Ctx(Impl);
-  return runGuardedSlotsOn(Impl, Slots, *Ctx);
 }
 
 } // namespace daisy

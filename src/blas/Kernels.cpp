@@ -6,12 +6,15 @@
 
 #include "blas/Kernels.h"
 
+#include "support/Compiler.h"
+
 #include <algorithm>
 
 using namespace daisy;
 
-void daisy::gemm(double *C, const double *A, const double *B, int64_t M,
-                 int64_t N, int64_t K, double Alpha, double Beta) {
+DAISY_HOT_ALIGN void daisy::gemm(double *C, const double *A,
+                                 const double *B, int64_t M, int64_t N,
+                                 int64_t K, double Alpha, double Beta) {
   for (int64_t I = 0; I < M; ++I)
     for (int64_t J = 0; J < N; ++J)
       C[I * N + J] *= Beta;
@@ -28,8 +31,8 @@ void daisy::gemm(double *C, const double *A, const double *B, int64_t M,
         }
 }
 
-void daisy::syrk(double *C, const double *A, int64_t N, int64_t K,
-                 double Alpha, double Beta) {
+DAISY_HOT_ALIGN void daisy::syrk(double *C, const double *A, int64_t N,
+                                 int64_t K, double Alpha, double Beta) {
   for (int64_t I = 0; I < N; ++I)
     for (int64_t J = 0; J <= I; ++J)
       C[I * N + J] *= Beta;
@@ -41,8 +44,9 @@ void daisy::syrk(double *C, const double *A, int64_t N, int64_t K,
     }
 }
 
-void daisy::syr2k(double *C, const double *A, const double *B, int64_t N,
-                  int64_t K, double Alpha, double Beta) {
+DAISY_HOT_ALIGN void daisy::syr2k(double *C, const double *A,
+                                  const double *B, int64_t N, int64_t K,
+                                  double Alpha, double Beta) {
   for (int64_t I = 0; I < N; ++I)
     for (int64_t J = 0; J <= I; ++J)
       C[I * N + J] *= Beta;
@@ -55,8 +59,9 @@ void daisy::syr2k(double *C, const double *A, const double *B, int64_t N,
     }
 }
 
-void daisy::gemv(double *Y, const double *A, const double *X, int64_t M,
-                 int64_t N, double Alpha, double Beta) {
+DAISY_HOT_ALIGN void daisy::gemv(double *Y, const double *A,
+                                 const double *X, int64_t M, int64_t N,
+                                 double Alpha, double Beta) {
   for (int64_t I = 0; I < M; ++I) {
     double Sum = 0.0;
     for (int64_t J = 0; J < N; ++J)

@@ -10,6 +10,7 @@
 #include "blas/Kernels.h"
 #include "exec/EvalOps.h"
 #include "exec/ThreadPool.h"
+#include "support/Compiler.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
@@ -21,20 +22,6 @@
 #include <type_traits>
 
 using namespace daisy;
-
-/// Starts the executor's hot functions on a cache-line boundary. Their
-/// speed depends on where they fall modulo 64 bytes (a 16-byte shift made
-/// jacobi-2d's plan run about 1.5x slower on a 4-vCPU x86-64 host), and
-/// unaligned, an edit to any file linked before this one moves them. One
-/// 64-aligned function also aligns this object's .text, so every
-/// function here keeps its offset modulo 64 whatever precedes it. It is
-/// an attribute rather than a compiler flag so that every build of the
-/// library gets it.
-#if defined(__GNUC__) || defined(__clang__)
-#define DAISY_HOT_ALIGN __attribute__((aligned(64)))
-#else
-#define DAISY_HOT_ALIGN
-#endif
 
 namespace {
 

@@ -58,12 +58,6 @@ public:
   /// Program::arrays() of the bound kernel).
   const std::vector<BufferRef> &slots() const { return Slots; }
 
-  /// Identity of the kernel this handle was validated against — the
-  /// serving runtime batches same-kernel requests by comparing tokens.
-  /// Null for non-ok handles. The token pins the kernel alive, so it is
-  /// never dangling.
-  const void *kernelToken() const { return Bound.get(); }
-
 private:
   friend class Kernel; // Kernel::bind fills, Kernel::run(BoundArgs) checks.
 
@@ -73,50 +67,13 @@ private:
 };
 
 /// The one status every path reports for a non-ok BoundArgs (the bind
-/// diagnostic when there is one): Kernel::run/runBatch and the server's
-/// submit fast-fail agree on the wording by construction.
+/// diagnostic when there is one): Kernel::run and the server's submit
+/// fast-fail agree on the wording by construction.
 inline RunStatus invalidBoundArgsStatus(const BoundArgs &Args) {
   return {Args.error().empty() ? "unbound arguments: BoundArgs was not "
                                  "produced by Kernel::bind"
                                : Args.error()};
 }
-
-/// A worker lane's sticky run context: one kernel's pooled RunContext,
-/// borrowed across *dispatches* instead of per dispatch.
-///
-/// Kernel::runBatch(..., RunContextLease &) keeps the borrowed context in
-/// the lease between batches. While consecutive batches hit the same
-/// kernel — the common case on a serving lane once micro-batching groups
-/// by kernel token — the register file, tape stack, slot table, and
-/// transient scratch stay warm with no pool round-trip (two mutex
-/// acquisitions saved per dispatch) and zero contention with sibling
-/// lanes. A batch for a different kernel returns the held context to its
-/// owner's pool and borrows from the new kernel's.
-///
-/// The lease pins the owning kernel alive and returns the context on
-/// destruction, so a lane-local lease is safe across plan-cache eviction
-/// and server shutdown. Not thread-safe: one lease per lane.
-class RunContextLease {
-public:
-  RunContextLease() = default;
-  ~RunContextLease() { reset(); }
-  RunContextLease(const RunContextLease &) = delete;
-  RunContextLease &operator=(const RunContextLease &) = delete;
-
-  /// Identity of the kernel whose context is held (null when empty);
-  /// compares against Kernel::token / BoundArgs::kernelToken.
-  const void *kernelToken() const { return Owner.get(); }
-
-  /// Returns the held context to its kernel's pool (no-op when empty).
-  /// Defined in serve/BoundArgs.cpp, where KernelImpl is complete.
-  void reset();
-
-private:
-  friend class Kernel; // runBatch(..., Lease) installs and reuses.
-
-  std::shared_ptr<const KernelImpl> Owner; ///< Pool the context returns to.
-  void *Ctx = nullptr; ///< KernelImpl::RunContext, opaque at this layer.
-};
 
 } // namespace daisy
 

@@ -35,12 +35,12 @@
 ///                        deadlines lapse and the other lanes carry the
 ///                        load);
 ///   "kernel.run"         prepared-run dispatch (Delay makes the kernel
-///                        itself slow, per request even inside a batch;
-///                        Trigger injects a run fault — an
-///                        Engine-compiled kernel heals it through the
-///                        tree-walk reference path and its circuit
-///                        breaker counts it, a raw Kernel::compile
-///                        kernel surfaces RunStatus::Faulted).
+///                        itself slow, per request; Trigger injects a
+///                        run fault — an Engine-compiled kernel heals
+///                        it through the tree-walk reference path and
+///                        its circuit breaker counts it, a raw
+///                        Kernel::compile kernel surfaces
+///                        RunStatus::Faulted).
 ///
 /// Scenarios are reproducible: every site draws from an Rng stream
 /// derived from (scenario seed, site name), independent of thread

@@ -7,6 +7,7 @@
 #include "serve/Scheduler.h"
 
 #include <array>
+#include <deque>
 #include <tuple>
 
 namespace daisy {
@@ -86,18 +87,16 @@ Scheduler::PushResult Scheduler::push(Request &R, size_t *DepthAfter) {
   return PushResult::Ok;
 }
 
-bool Scheduler::popBatch(std::vector<Request> &Batch,
-                         std::vector<Request> &Expired, size_t MaxBatch) {
-  Batch.clear();
+bool Scheduler::pop(std::optional<Request> &Next,
+                    std::vector<Request> &Expired) {
+  Next.reset();
   Expired.clear();
-  if (MaxBatch == 0)
-    MaxBatch = 1;
   std::unique_lock<std::mutex> Lock(Mutex);
   for (;;) {
     // Shed first, select second: an expired request must not be picked
-    // as the batch head (EDF would otherwise favour exactly the requests
-    // that are already lost). The sweep is skipped entirely while
-    // nothing queued carries a finite deadline.
+    // as the head (EDF would otherwise favour exactly the requests that
+    // are already lost). The sweep is skipped entirely while nothing
+    // queued carries a finite deadline.
     if (FiniteDeadlines > 0 && Queued > 0) {
       shedExpiredLocked(serveNow(), Expired);
       FiniteDeadlines -= Expired.size();
@@ -106,15 +105,13 @@ bool Scheduler::popBatch(std::vector<Request> &Batch,
         tenantReleaseLocked(R);
     }
     if (Queued > 0) {
-      selectBatchLocked(Batch, MaxBatch);
-      Queued -= Batch.size();
-      for (const Request &R : Batch) {
-        if (FiniteDeadlines > 0 && R.Deadline != noDeadline())
-          --FiniteDeadlines;
-        tenantReleaseLocked(R);
-      }
+      Next.emplace(popHeadLocked());
+      --Queued;
+      if (Next->Deadline != noDeadline())
+        --FiniteDeadlines;
+      tenantReleaseLocked(*Next);
     }
-    if (!Batch.empty() || !Expired.empty())
+    if (Next || !Expired.empty())
       break;
     if (Closed)
       return false;
@@ -152,33 +149,23 @@ size_t Scheduler::maxDepthSeen() const {
   return MaxDepth;
 }
 
-void Scheduler::fifoSelectFrom(std::deque<Request> &Q,
-                               std::vector<Request> &Batch, size_t MaxBatch) {
-  Batch.push_back(std::move(Q.front()));
+namespace {
+
+//===----------------------------------------------------------------------===//
+// Deque helpers every policy builds on.
+//===----------------------------------------------------------------------===//
+
+Request takeFront(std::deque<Request> &Q) {
+  Request R = std::move(Q.front());
   Q.pop_front();
-  const void *Token = Batch.front().Args.kernelToken();
-  if (!Token || Batch.size() >= MaxBatch || Q.empty())
-    return;
-  size_t Size = Q.size();
-  size_t Write = 0, Read = 0;
-  for (; Read < Size; ++Read) {
-    Request &Cand = Q[Read];
-    if (Batch.size() < MaxBatch && Cand.Args.kernelToken() == Token) {
-      Batch.push_back(std::move(Cand));
-      continue;
-    }
-    if (Write == Read && Batch.size() == MaxBatch)
-      break; // No holes behind us and the batch is full: tail stays put.
-    if (Write != Read)
-      Q[Write] = std::move(Q[Read]);
-    ++Write;
-  }
-  if (Read == Size)
-    Q.erase(Q.begin() + Write, Q.end());
+  return R;
 }
 
-void Scheduler::shedExpiredFrom(std::deque<Request> &Q, TimePoint Now,
-                                std::vector<Request> &Expired) {
+/// Moves every request of \p Q with Deadline <= \p Now into \p Expired
+/// in one forward compaction pass (a per-element deque::erase would shift
+/// the tail once per shed request), survivors keeping their order.
+void shedExpiredFrom(std::deque<Request> &Q, TimePoint Now,
+                     std::vector<Request> &Expired) {
   size_t Size = Q.size();
   size_t Write = 0;
   for (size_t Read = 0; Read < Size; ++Read) {
@@ -193,11 +180,8 @@ void Scheduler::shedExpiredFrom(std::deque<Request> &Q, TimePoint Now,
   Q.erase(Q.begin() + Write, Q.end());
 }
 
-namespace {
-
 //===----------------------------------------------------------------------===//
-// Fifo: one deque in admission order, head first, with same-kernel
-// micro-batch coalescing.
+// Fifo: one deque in admission order, head first.
 //===----------------------------------------------------------------------===//
 
 class FifoScheduler final : public Scheduler {
@@ -212,10 +196,7 @@ private:
     shedExpiredFrom(Q, Now, Expired);
   }
 
-  void selectBatchLocked(std::vector<Request> &Batch,
-                         size_t MaxBatch) override {
-    fifoSelectFrom(Q, Batch, MaxBatch);
-  }
+  Request popHeadLocked() override { return takeFront(Q); }
 
   std::deque<Request> Q;
 };
@@ -244,13 +225,11 @@ private:
       shedExpiredFrom(Lane, Now, Expired);
   }
 
-  void selectBatchLocked(std::vector<Request> &Batch,
-                         size_t MaxBatch) override {
-    for (auto &Lane : Lanes)
-      if (!Lane.empty()) {
-        fifoSelectFrom(Lane, Batch, MaxBatch);
-        return;
-      }
+  Request popHeadLocked() override {
+    size_t Lane = 0;
+    while (Lanes[Lane].empty())
+      ++Lane;
+    return takeFront(Lanes[Lane]);
   }
 
   std::array<std::deque<Request>, NumPriorityLanes> Lanes;
@@ -274,37 +253,17 @@ private:
     shedExpiredFrom(Q, Now, Expired);
   }
 
-  void selectBatchLocked(std::vector<Request> &Batch,
-                         size_t MaxBatch) override {
+  Request popHeadLocked() override {
     // Linear scan beats a heap here: depth is bounded by Capacity (a few
-    // hundred), the scan runs once per *batch* not per request, and a
-    // heap would still need the same-token compaction pass below.
+    // hundred), and the erase below is linear anyway.
     size_t Head = 0;
     for (size_t I = 1; I < Q.size(); ++I)
       if (std::tie(Q[I].Deadline, Q[I].Seq) <
           std::tie(Q[Head].Deadline, Q[Head].Seq))
         Head = I;
-    const void *Token = Q[Head].Args.kernelToken();
-    Batch.push_back(std::move(Q[Head]));
-    // Coalesce same-kernel requests in admission order. A coalesced
-    // request may have a later deadline than queue survivors — batching
-    // trades strict EDF order for amortized dispatch, same as every
-    // policy trades it for MaxBatch > 1.
-    size_t Size = Q.size();
-    size_t Write = 0;
-    for (size_t Read = 0; Read < Size; ++Read) {
-      if (Read == Head)
-        continue;
-      if (Token && Batch.size() < MaxBatch &&
-          Q[Read].Args.kernelToken() == Token) {
-        Batch.push_back(std::move(Q[Read]));
-        continue;
-      }
-      if (Write != Read)
-        Q[Write] = std::move(Q[Read]);
-      ++Write;
-    }
-    Q.erase(Q.begin() + Write, Q.end());
+    Request R = std::move(Q[Head]);
+    Q.erase(Q.begin() + Head);
+    return R;
   }
 
   std::deque<Request> Q;
@@ -313,9 +272,9 @@ private:
 //===----------------------------------------------------------------------===//
 // FairShare: deficit-weighted round-robin over per-tenant FIFO deques.
 // The rotation's front tenant earns Weight credits when it has none,
-// spends one credit per selected batch, and rotates to the back when its
-// credit runs out — so a tenant with Weight W gets W consecutive batch
-// turns per rotation, and a flooding tenant delays another tenant's head
+// spends one credit per served request, and rotates to the back when its
+// credit runs out — so a tenant with Weight W gets W consecutive turns
+// per rotation, and a flooding tenant delays another tenant's head
 // request by at most one rotation, never by its whole backlog.
 //===----------------------------------------------------------------------===//
 
@@ -359,18 +318,14 @@ private:
     }
   }
 
-  void selectBatchLocked(std::vector<Request> &Batch,
-                         size_t MaxBatch) override {
+  Request popHeadLocked() override {
     // Precondition (base class): at least one request is queued, so the
     // rotation is non-empty and its front tenant's deque is non-empty.
     uint32_t Id = Rotation.front();
     TenantQ &T = Tenants[Id];
     if (T.Credit < 1)
       T.Credit = T.Weight;
-    // FIFO + coalescing *within this tenant only*: sweeping another
-    // tenant's same-kernel requests into this batch would hand the
-    // flooding tenant exactly the bypass the rotation exists to deny.
-    fifoSelectFrom(T.Q, Batch, MaxBatch);
+    Request R = takeFront(T.Q);
     T.Credit -= 1;
     if (T.Q.empty()) {
       T.Active = false;
@@ -380,6 +335,7 @@ private:
       Rotation.pop_front();
       Rotation.push_back(Id);
     }
+    return R;
   }
 
   std::unordered_map<uint32_t, TenantQ> Tenants;

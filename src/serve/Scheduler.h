@@ -32,13 +32,10 @@
 ///     completes the most requests before their deadlines.
 ///   - FairShare: deficit-weighted round-robin over per-tenant deques.
 ///     Each turn the front tenant of the rotation earns Weight credits
-///     and serves one batch per credit (FIFO within the tenant,
-///     micro-batch coalescing confined to that tenant's deque — sweeping
-///     another tenant's requests into a flooding tenant's batch would
-///     undo the fairness the rotation buys); a tenant with no credit
-///     left rotates to the back. One tenant's backlog therefore delays
-///     another tenant's head-of-line request by at most one rotation,
-///     not by the whole backlog.
+///     and serves one request per credit, FIFO within the tenant; a
+///     tenant with no credit left rotates to the back. One tenant's
+///     backlog therefore delays another tenant's head-of-line request by
+///     at most one rotation, not by the whole backlog.
 ///
 /// Per-tenant admission quotas (Scheduler ctor / ServerOptions
 /// TenantQuota) bound how much of the shared capacity one tenant may
@@ -54,17 +51,16 @@
 ///   - at admission: push() returns PushResult::Expired for a request
 ///     whose deadline already passed (including a Block-policy submitter
 ///     whose deadline expires while waiting for space);
-///   - at pop: popBatch() sweeps expired requests out of the queue into
-///     the caller's Expired vector before selecting the batch; the
+///   - at pop: pop() sweeps expired requests out of the queue into the
+///     caller's Expired vector before selecting the next request; the
 ///     server completes their futures with RunStatus::Expired
 ///     immediately. The sweep is lazy — it runs when a worker pops, not
 ///     on a timer — which is exactly when it matters: an expired request
 ///     can only waste resources by being dispatched.
 ///
-/// popBatch still implements per-kernel micro-batching: the policy picks
-/// the head request, then coalesces up to MaxBatch-1 further requests
-/// for the same kernel (matched by BoundArgs::kernelToken) without
-/// disturbing the relative order of other kernels' requests.
+/// A pop hands out exactly one request, the policy's head: no request is
+/// ever pulled ahead of the policy's order to share a dispatch with
+/// another.
 ///
 /// close() stops admission (pushes fail with ShutDown) but lets poppers
 /// drain every admitted request, so shutdown completes or fails every
@@ -83,10 +79,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -171,14 +167,12 @@ public:
   PushResult push(Request &R, size_t *DepthAfter = nullptr);
 
   /// Blocks until at least one request is available (or the queue is
-  /// closed and empty — returns false, the worker-exit signal). Fills
-  /// \p Batch with the policy's head request plus up to \p MaxBatch - 1
-  /// more same-kernel requests, and \p Expired with every queued request
-  /// whose deadline has passed (shed, never dispatched; the caller
-  /// completes their futures with RunStatus::Expired). Returns true when
-  /// either vector is non-empty.
-  bool popBatch(std::vector<Request> &Batch, std::vector<Request> &Expired,
-                size_t MaxBatch);
+  /// closed and empty — returns false, the worker-exit signal). Moves
+  /// the policy's head request into \p Next, and every queued request
+  /// whose deadline has passed into \p Expired (shed, never dispatched;
+  /// the caller completes their futures with RunStatus::Expired).
+  /// Returns true when either holds a request.
+  bool pop(std::optional<Request> &Next, std::vector<Request> &Expired);
 
   /// Stops admission and wakes every waiter; already-admitted requests
   /// remain poppable until drained.
@@ -197,9 +191,9 @@ protected:
   // Storage hooks, called under Mutex.
 
   /// Stores \p R in the policy's structure. The base class tracks the
-  /// stored count itself (one enqueue, Batch.size() + Expired.size()
-  /// removals per popBatch), so policies keep no redundant counters and
-  /// the hot paths never pay a virtual call just to read a size.
+  /// stored count itself (one enqueue, 1 + Expired.size() removals per
+  /// pop), so policies keep no redundant counters and the hot paths
+  /// never pay a virtual call just to read a size.
   virtual void enqueueLocked(Request &&R) = 0;
 
   /// Moves every stored request with Deadline <= \p Now into \p Expired
@@ -208,21 +202,9 @@ protected:
   virtual void shedExpiredLocked(TimePoint Now,
                                  std::vector<Request> &Expired) = 0;
 
-  /// Removes the policy's head request plus up to \p MaxBatch - 1 more
-  /// same-kernel requests into \p Batch (head first). Precondition:
-  /// queuedLocked() > 0.
-  virtual void selectBatchLocked(std::vector<Request> &Batch,
-                                 size_t MaxBatch) = 0;
-
-  /// Shared FIFO helpers the Fifo and PriorityLane policies build on:
-  /// head + same-token coalescing via one forward compaction pass (a
-  /// per-element deque::erase would shift the tail once per coalesced
-  /// request — an O(depth) spike inside the lock exactly when the queue
-  /// runs full), and the matching expiry sweep.
-  static void fifoSelectFrom(std::deque<Request> &Q,
-                             std::vector<Request> &Batch, size_t MaxBatch);
-  static void shedExpiredFrom(std::deque<Request> &Q, TimePoint Now,
-                              std::vector<Request> &Expired);
+  /// Removes and returns the policy's head request. Precondition: at
+  /// least one request is stored.
+  virtual Request popHeadLocked() = 0;
 
 private:
   /// True when admitting one more request of \p Tenant would exceed the
@@ -246,7 +228,7 @@ private:
   uint64_t NextSeq = 0;
 
   /// Queued requests with finite deadlines. The expiry sweep is O(depth),
-  /// so popBatch pays it only while this is non-zero — a deadline-free
+  /// so pop pays it only while this is non-zero — a deadline-free
   /// workload never scans.
   size_t FiniteDeadlines = 0;
 

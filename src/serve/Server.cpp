@@ -59,11 +59,9 @@ Server::Server(ServerOptions Options)
       CRejected(statsCounterCell("Serve.Rejected")),
       CExpired(statsCounterCell("Serve.Expired")),
       CRetries(statsCounterCell("Serve.SubmitRetries")),
-      CBatchedRuns(statsCounterCell("Serve.BatchedRuns")),
       CDepthMax(statsCounterCell("Serve.QueueDepthMax")),
       CBrownouts(statsCounterCell("Serve.Brownouts")),
       CBrownoutSheds(statsCounterCell("Serve.BrownoutSheds")),
-      CAffinityHits(statsCounterCell("Serve.ContextAffinityHits")),
       // Flight-recorder names interned once here: the dispatch path emits
       // with resolved ids, never a map lookup.
       TnSubmit(traceNameId("serve.submit")),
@@ -245,27 +243,16 @@ std::future<RunStatus> Server::submit(const Kernel &K, const ArgBinding &Args,
 }
 
 void Server::workerLane() {
-  std::vector<Request> Batch;
+  std::optional<Request> Next;
   std::vector<Request> Expired;
-  // Lane-local context affinity: the pooled RunContext of the kernel this
-  // lane dispatched last stays borrowed in the lease across batches, so a
-  // lane riding one hot kernel (micro-batching groups by kernel token)
-  // reuses a warm context with no pool mutex round-trip
-  // ("Serve.ContextAffinityHits"). Destroyed at lane exit, which returns
-  // the context to its kernel's pool.
-  RunContextLease Lease;
-  const size_t MaxB = std::max<size_t>(Opts.MaxBatch, 1);
-  while (Queue->popBatch(Batch, Expired, MaxB)) {
-    // Claim stamp: queue wait ends here for every request in the batch.
-    if (!Batch.empty()) {
-      TimePoint ClaimStamp = serveNow();
-      for (Request &R : Batch)
-        R.ClaimedAt = ClaimStamp;
-    }
+  while (Queue->pop(Next, Expired)) {
+    // Claim stamp: queue wait ends here.
+    if (Next)
+      Next->ClaimedAt = serveNow();
 
     // Shed work first: the futures are already lost causes and cheap to
-    // fail, and doing it before the batch keeps the latency of surviving
-    // requests honest.
+    // fail, and doing it before the dispatch keeps the latency of the
+    // surviving request honest.
     if (!Expired.empty()) {
       for (Request &E : Expired) {
         E.Done.set_value(RunStatus::expired());
@@ -276,90 +263,55 @@ void Server::workerLane() {
                          std::memory_order_relaxed);
       finishMany(Expired.size());
     }
-    if (Batch.empty())
+    if (!Next)
       continue;
 
     // Fault site "serve.worker": an armed Delay stalls this lane between
     // pop and dispatch — the window in which deadlines lapse and other
     // lanes must pick up the slack.
     (void)DAISY_FAILPOINT("serve.worker");
-    dispatchBatch(Batch, Lease);
+    dispatch(*Next);
   }
 }
 
-void Server::dispatchBatch(std::vector<Request> &Batch,
-                           RunContextLease &Lease) {
-  size_t B = Batch.size();
-  if (B > 1)
-    CBatchedRuns.fetch_add(static_cast<int64_t>(B), std::memory_order_relaxed);
-
-  // The batch shares one BoundArgs kernel token (popBatch coalesces by
-  // it). Requests whose submitted kernel really owns those arguments —
-  // the common case, all of them — execute as one coalesced dispatch
-  // on a single pooled context (Kernel::runBatch); a request whose
-  // kernel does not match its arguments is executed alone so it earns
-  // its stale diagnostic without disturbing the batch.
-  std::vector<RunStatus> Statuses(B);
-  std::vector<size_t> Grouped;
-  std::vector<const BoundArgs *> GroupArgs;
-  TimePoint RunStart = serveNow(); // Batch wait ends, execution begins.
-  for (size_t I = 0; I < B; ++I) {
-    if (Batch[I].K.token() == Batch[I].Args.kernelToken()) {
-      Grouped.push_back(I);
-      GroupArgs.push_back(&Batch[I].Args);
-    } else {
-      Statuses[I] = Batch[I].K.run(Batch[I].Args);
-    }
-  }
-  if (!Grouped.empty()) {
-    const Kernel &K = Batch[Grouped.front()].K;
-    // Affinity hit: the lease already holds this kernel's context from
-    // the previous dispatch — runBatch reuses it warm, no pool traffic.
-    if (Lease.kernelToken() == K.token())
-      CAffinityHits.fetch_add(1, std::memory_order_relaxed);
-    std::vector<RunStatus> GroupStatuses(Grouped.size());
-    K.runBatch(GroupArgs.data(), GroupStatuses.data(), Grouped.size(), Lease);
-    for (size_t J = 0; J < Grouped.size(); ++J)
-      Statuses[Grouped[J]] = std::move(GroupStatuses[J]);
-  }
+void Server::dispatch(Request &R) {
+  TimePoint RunStart = serveNow(); // Claim → dispatch start ends here.
+  // The guarded path of a synchronous Kernel::run(BoundArgs): it fails
+  // non-ok and stale arguments and exhausted kernels with their status,
+  // owns the "kernel.run" fault site and the circuit breaker, and returns
+  // the borrowed context to the kernel's pool when the run ends.
+  RunStatus Status = R.K.run(R.Args);
   TimePoint Now = serveNow();
+  recordLatency(R.EnqueuedAt, Now);
+  // Stage decomposition of the same sojourn: queue wait ends at the
+  // claim stamp, batch wait at the dispatch stamp, run at completion.
+  QueueWaitHist.record(elapsedUs(R.EnqueuedAt, R.ClaimedAt));
+  BatchWaitHist.record(elapsedUs(R.ClaimedAt, RunStart));
+  RunHist.record(elapsedUs(RunStart, Now));
   TraceRecorder &TR = TraceRecorder::instance();
-  const bool Tracing = TR.enabled();
-  for (size_t I = 0; I < B; ++I) {
-    Request &R = Batch[I];
-    recordLatency(R.EnqueuedAt, Now);
-    // Stage decomposition of the same sojourn: queue wait ends at the
-    // claim stamp, batch wait at the dispatch stamp, run at completion.
-    uint64_t QueueUs = elapsedUs(R.EnqueuedAt, R.ClaimedAt);
-    uint64_t BatchUs = elapsedUs(R.ClaimedAt, RunStart);
-    uint64_t RunUs = elapsedUs(RunStart, Now);
-    QueueWaitHist.record(QueueUs);
-    BatchWaitHist.record(BatchUs);
-    RunHist.record(RunUs);
-    if (Tracing) {
-      // The request's stage spans, reconstructed post-completion as
-      // Chrome "X" (complete) events — begin/end pairing across the
-      // submitting and dispatching threads would corrupt lane nesting.
-      // Arg carries the admission sequence so one request's spans
-      // correlate across lanes in a trace viewer.
-      uint64_t EnqNs = TR.toNs(R.EnqueuedAt);
-      uint64_t ClaimNs = TR.toNs(R.ClaimedAt);
-      uint64_t RunNs = TR.toNs(RunStart);
-      uint64_t NowNs = TR.toNs(Now);
-      TR.emitComplete(TraceCategory::Serve, TnRequest, EnqNs, NowNs - EnqNs,
-                      R.Seq);
-      TR.emitComplete(TraceCategory::Serve, TnQueueWait, EnqNs,
-                      ClaimNs - EnqNs, R.Seq);
-      TR.emitComplete(TraceCategory::Serve, TnBatchWait, ClaimNs,
-                      RunNs - ClaimNs, R.Seq);
-      TR.emitComplete(TraceCategory::Serve, TnRun, RunNs, NowNs - RunNs,
-                      R.Seq);
-    }
-    tenantCounters(R.Tenant).Completed.fetch_add(1, std::memory_order_relaxed);
-    R.Done.set_value(std::move(Statuses[I]));
+  if (TR.enabled()) {
+    // The request's stage spans, reconstructed post-completion as Chrome
+    // "X" (complete) events — begin/end pairing across the submitting
+    // and dispatching threads would corrupt lane nesting. Arg carries
+    // the admission sequence so one request's spans correlate across
+    // lanes in a trace viewer.
+    uint64_t EnqNs = TR.toNs(R.EnqueuedAt);
+    uint64_t ClaimNs = TR.toNs(R.ClaimedAt);
+    uint64_t RunNs = TR.toNs(RunStart);
+    uint64_t NowNs = TR.toNs(Now);
+    TR.emitComplete(TraceCategory::Serve, TnRequest, EnqNs, NowNs - EnqNs,
+                    R.Seq);
+    TR.emitComplete(TraceCategory::Serve, TnQueueWait, EnqNs,
+                    ClaimNs - EnqNs, R.Seq);
+    TR.emitComplete(TraceCategory::Serve, TnBatchWait, ClaimNs,
+                    RunNs - ClaimNs, R.Seq);
+    TR.emitComplete(TraceCategory::Serve, TnRun, RunNs, NowNs - RunNs,
+                    R.Seq);
   }
-  CCompleted.fetch_add(static_cast<int64_t>(B), std::memory_order_relaxed);
-  finishMany(B);
+  tenantCounters(R.Tenant).Completed.fetch_add(1, std::memory_order_relaxed);
+  R.Done.set_value(std::move(Status));
+  CCompleted.fetch_add(1, std::memory_order_relaxed);
+  finishMany(1);
 }
 
 void Server::finishMany(uint64_t N) {

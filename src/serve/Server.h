@@ -24,10 +24,10 @@
 ///   accident, and one tenant's overload is *its own*;
 /// - a worker pool (one dedicated exec/ThreadPool instance driven by a
 ///   dispatcher thread) whose lanes all drain that one queue through
-///   its blocking popBatch into pooled per-kernel ExecContexts;
-///   per-kernel micro-batching coalesces same-kernel requests into one
-///   dispatch, amortizing the queue round-trip and keeping one warm
-///   context stretch per batch.
+///   its blocking pop. A lane serves one request per dispatch, in the
+///   policy's order, through the same guarded Kernel::run(BoundArgs) a
+///   synchronous caller uses; the run borrows a pooled context from the
+///   request's kernel and returns it when the run ends.
 ///
 /// Server::submit(kernel, boundArgs, submitOptions) returns a
 /// std::future<RunStatus>. SubmitOptions adds the robustness surface:
@@ -39,8 +39,8 @@
 ///
 /// The hot path is string-compare-free: arguments are prepared once with
 /// Kernel::bind and the workers execute on resolved slot tables. Results
-/// are bit-identical to synchronous Kernel::run at every worker,
-/// scheduler, and batch configuration — workers execute on the pool, so
+/// are bit-identical to synchronous Kernel::run at every worker and
+/// scheduler configuration — workers execute on the pool, so
 /// parallel-marked loops inside a kernel degrade to serial per the
 /// ThreadPool nesting rule (bit-identical by the ExecPlan contract) and
 /// request-level parallelism takes their place.
@@ -50,7 +50,7 @@
 /// ever returned is completed or failed, never leaked.
 ///
 /// Counters (support/Statistics): Serve.Submitted, Serve.Completed,
-/// Serve.Rejected, Serve.Expired, Serve.SubmitRetries, Serve.BatchedRuns,
+/// Serve.Rejected, Serve.Expired, Serve.SubmitRetries,
 /// Serve.QueueDepthMax — plus the same four outcome counters per tenant
 /// as Serve.Tenant<id>.{Submitted,Completed,Rejected,Expired}. Invariant
 /// after drain(), globally and per tenant:
@@ -58,7 +58,8 @@
 ///
 /// Observability (obs/): every completed request decomposes its sojourn
 /// into three stage histograms — queue wait (submit → worker claim),
-/// batch wait (claim → kernel dispatch), run (dispatch → completion) —
+/// batch wait (claim → dispatch start: expiry shedding and the
+/// "serve.worker" fault site), run (dispatch start → completion) —
 /// and, when the flight recorder (obs/Trace.h) is on, emits one Chrome
 /// "X" span per stage plus a whole-request span, reconstructed from the
 /// request's stored timestamps after completion (no cross-thread B/E
@@ -113,9 +114,6 @@ struct ServerOptions {
   BackpressurePolicy Policy = BackpressurePolicy::Block;
   /// Which request-ordering policy serves the queue (serve/Scheduler.h).
   SchedulerPolicy Scheduling = SchedulerPolicy::Fifo;
-  /// Largest same-kernel micro-batch one worker dispatch coalesces;
-  /// 1 disables micro-batching.
-  size_t MaxBatch = 16;
   /// Per-tenant admission quota (0 = off): the most queued requests one
   /// tenant (SubmitOptions::Tenant) may hold. A tenant at quota is
   /// treated like a full queue — Reject fails it with Overloaded, Block
@@ -200,8 +198,8 @@ struct SubmitOptions {
   /// Tenant identity: the key of FairShare scheduling, per-tenant
   /// quotas, and the Serve.Tenant<id>.* counters.
   uint32_t Tenant = 0;
-  /// FairShare weight: consecutive batch turns this tenant earns per
-  /// rotation (clamped to >= 1; the latest submitted weight wins).
+  /// FairShare weight: consecutive requests this tenant is served per
+  /// rotation turn (clamped to >= 1; the latest submitted weight wins).
   uint32_t Weight = 1;
 };
 
@@ -281,8 +279,9 @@ public:
   /// the end-to-end sojourn latencyQuantileUs measures.
   enum class Stage {
     QueueWait, ///< Submit entry → worker claims the request.
-    BatchWait, ///< Claim → the kernel dispatch actually starts.
-    Run,       ///< Dispatch start → completion (batch execution).
+    BatchWait, ///< Claim → dispatch start: expiry shedding and the
+               ///< "serve.worker" fault site.
+    Run,       ///< Dispatch start → completion.
   };
 
   /// Quantile of one stage's duration in microseconds, on the same
@@ -319,7 +318,7 @@ private:
   };
 
   void workerLane();
-  void dispatchBatch(std::vector<Request> &Batch, RunContextLease &Lease);
+  void dispatch(Request &R);
   void finishMany(uint64_t N);
   void recordLatency(TimePoint EnqueuedAt, TimePoint Now);
   TenantCounters &tenantCounters(uint32_t Tenant);
@@ -336,8 +335,7 @@ private:
   /// path increments relaxed atomics instead of paying a name lookup
   /// under the registry mutex per request.
   std::atomic<int64_t> &CSubmitted, &CCompleted, &CRejected, &CExpired,
-      &CRetries, &CBatchedRuns, &CDepthMax, &CBrownouts, &CBrownoutSheds,
-      &CAffinityHits;
+      &CRetries, &CDepthMax, &CBrownouts, &CBrownoutSheds;
 
   /// Brownout watermarks resolved to absolute depths at construction
   /// (0 = brownout disabled), and the gate's sticky state.
@@ -375,7 +373,7 @@ private:
   /// incremented lock-free on the submit path (an increment can never
   /// satisfy a drain waiter, so no notification is needed); Finished
   /// advances under DrainMutex so waiters cannot miss the final
-  /// transition, batched once per worker dispatch. The rejected-submit
+  /// transition, once per dispatch or expiry sweep. The rejected-submit
   /// rollback decrement also notifies under the mutex.
   std::mutex DrainMutex;
   std::condition_variable DrainCV;

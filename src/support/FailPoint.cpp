@@ -186,8 +186,8 @@ namespace {
 
 /// Environment arming: DAISY_FAILPOINTS holds a spec-grammar scenario
 /// armed for the whole process before main() runs, seeded from
-/// DAISY_FAILPOINTS_SEED (decimal, default 0xDA15E). This is how CI arms
-/// sites a test binary does not arm itself — e.g. "engine.budget" across
+/// DAISY_FAILPOINTS_SEED (decimal, default 0xDA15E). This is how ctest
+/// arms sites a test binary does not arm itself — "engine.budget" across
 /// the serving fault matrix. Sites never marked by the running code cost
 /// nothing; a malformed spec is reported and ignored rather than
 /// aborting the process it was meant to observe (armFailPointsFromEnv,

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The measurement half of the online adaptive tuner (tune/Tuner.h): a
-/// per-kernel, lock-free sampling ring fed from the Kernel::run /
-/// runBatch hot paths.
+/// per-kernel, lock-free sampling ring fed from the Kernel::run hot
+/// paths.
 ///
 /// Measuring every run would put two clock reads and a ring store on the
 /// hottest path in the system, so the collector samples 1-in-SampleEvery

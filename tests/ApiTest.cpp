@@ -577,9 +577,6 @@ TEST(TreeWalkKernelTest, FallbackKernelIsBitIdenticalOnEveryRunPath) {
   // reproduce the tree-walk reference bit for bit on each form, and an
   // exhausted kernel's status forms must report ResourceExhausted without
   // touching the outputs (its void forms throw; see EngineBudgetTest).
-  // One lease serves every batch, so each kernel after the first finds it
-  // held for another kernel.
-  RunContextLease Lease;
   EngineOptions NoRoom;
   NoRoom.MemoryBudgetBytes = 1;
   Engine Tight(NoRoom);
@@ -624,17 +621,6 @@ TEST(TreeWalkKernelTest, FallbackKernelIsBitIdenticalOnEveryRunPath) {
         ASSERT_TRUE(Bound.ok()) << Bound.error();
         EXPECT_EQ(K.run(Bound).Why, Want);
         EXPECT_EQ(Bufs, Out) << "run(BoundArgs)";
-
-        auto First = Input, Second = Input;
-        BoundArgs A1 = K.bind(bindAll(First)), A2 = K.bind(bindAll(Second));
-        const BoundArgs *Batch[] = {&A1, &A2};
-        RunStatus Statuses[2];
-        K.runBatch(Batch, Statuses, 2, Lease);
-        EXPECT_EQ(Lease.kernelToken(), K.token());
-        EXPECT_EQ(Statuses[0].Why, Want);
-        EXPECT_EQ(Statuses[1].Why, Want);
-        EXPECT_EQ(First, Out) << "runBatch";
-        EXPECT_EQ(Second, Out) << "runBatch";
         if (K.isExhausted())
           continue;
 
@@ -714,13 +700,6 @@ TEST(EngineBudgetTest, ExhaustionSurfacesAsAStatusAndIsNeverCached) {
   ASSERT_TRUE(Bound.ok());
   Status = K.run(Bound);
   EXPECT_EQ(Status.Why, RunStatus::ResourceExhausted);
-
-  const BoundArgs *Batch[] = {&Bound, &Bound};
-  RunStatus Statuses[2];
-  RunContextLease Lease;
-  K.runBatch(Batch, Statuses, 2, Lease);
-  EXPECT_EQ(Statuses[0].Why, RunStatus::ResourceExhausted);
-  EXPECT_EQ(Statuses[1].Why, RunStatus::ResourceExhausted);
   for (double V : C)
     EXPECT_EQ(V, -1.0);
 

@@ -110,8 +110,9 @@ TEST(InterpreterTest, TriangularBoundsRespected) {
   for (int I = 0; I < 6; ++I)
     for (int J = 0; J < 6; ++J) {
       double V = Env.buffer("C")[static_cast<size_t>(I * 6 + J)];
-      if (J <= I)
+      if (J <= I) {
         EXPECT_DOUBLE_EQ(V, 1.0);
+      }
     }
 }
 

@@ -78,14 +78,16 @@ TEST(PolyBenchMetaTest, LiftingFailureMarks) {
     }
     Program NP = buildPolyBench(Kernel, VariantKind::NPBench);
     for (const NodePtr &Node : NP.topLevel())
-      if (const auto *L = dynCast<Loop>(Node))
+      if (const auto *L = dynCast<Loop>(Node)) {
         EXPECT_FALSE(L->isOpaque());
+      }
   }
   // No other kernel is opaque.
   Program Gemm = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);
   for (const NodePtr &Node : Gemm.topLevel())
-    if (const auto *L = dynCast<Loop>(Node))
+    if (const auto *L = dynCast<Loop>(Node)) {
       EXPECT_FALSE(L->isOpaque());
+    }
 }
 
 TEST(PolyBenchMetaTest, VariantsAreStructurallyDifferent) {

@@ -576,7 +576,6 @@ TEST(MetricsTest, JsonExpositionParsesBack) {
 TEST(ServeStagesTest, StageSumsMatchEndToEndSojourn) {
   ServerOptions Opts;
   Opts.Workers = 1; // One lane: a real queue forms, waits are non-trivial.
-  Opts.MaxBatch = 4;
   Server S(Opts);
   Program Prog = makeGemm("i", "j", "k", 12);
   Kernel K = S.compile(Prog);

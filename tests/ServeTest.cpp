@@ -8,7 +8,7 @@
 // in CI, DAISY_THREADS=4):
 //
 // - submit-storm bit-identity: results of async submission are identical
-//   to synchronous Kernel::run with and without batching;
+//   to synchronous Kernel::run under FIFO and FairShare;
 // - validate-once BoundArgs: one bind, many string-compare-free runs;
 //   handles bound against a different kernel are rejected as stale, not
 //   executed;
@@ -17,8 +17,10 @@
 // - graceful shutdown: destroying a server with queued and in-flight
 //   requests completes every future;
 // - counters: Serve.Submitted == Serve.Completed + Serve.Rejected +
-//   Serve.Expired after drain; micro-batching shows up in
-//   Serve.BatchedRuns only when on;
+//   Serve.Expired after drain; the queue-depth histogram samples every
+//   admission;
+// - context pool: a worker borrows a served kernel's pooled context per
+//   request, so after drain() the context is back in the kernel's pool;
 // - scheduling policies: FIFO, priority-lane, EDF, and FairShare pop in
 //   their contractual orders (observed via Request::Seq, no timing
 //   races); FairShare interleaves tenants by deficit-weighted
@@ -44,6 +46,7 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,7 +175,6 @@ TEST(BoundArgsTest, FailedValidationYieldsNonOkHandle) {
   BoundArgs Bound = K.bind(ArgBinding().bind("A", A).bind("B", B));
   EXPECT_FALSE(Bound.ok());
   EXPECT_NE(Bound.error().find("not bound"), std::string::npos);
-  EXPECT_EQ(Bound.kernelToken(), nullptr);
 
   RunStatus Status = K.run(Bound);
   EXPECT_FALSE(Status.ok());
@@ -189,7 +191,6 @@ TEST(BoundArgsTest, StaleRebindAgainstOtherKernelIsRejected) {
   OwnedArgs Args(Prog);
   BoundArgs Bound = KA.bind(Args.binding());
   ASSERT_TRUE(Bound.ok());
-  EXPECT_NE(Bound.kernelToken(), nullptr);
 
   RunStatus Stale = KB.run(Bound);
   EXPECT_FALSE(Stale.ok());
@@ -208,12 +209,12 @@ TEST(BoundArgsTest, DefaultHandleIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Submit storm: bit-identity with and without batching
+// Submit storm: bit-identity under FIFO and FairShare
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void submitStorm(size_t MaxBatch) {
+void submitStorm(SchedulerPolicy Policy) {
   std::vector<Program> Programs;
   Programs.push_back(makeGemm("i", "j", "k", 12));
   Programs.push_back(makeGemm("j", "k", "i", 12));
@@ -222,7 +223,7 @@ void submitStorm(size_t MaxBatch) {
   ServerOptions Options;
   Options.Workers = 4;
   Options.QueueCapacity = 256;
-  Options.MaxBatch = MaxBatch;
+  Options.Scheduling = Policy;
   Server S(Options);
 
   std::vector<Kernel> Kernels;
@@ -242,6 +243,9 @@ void submitStorm(size_t MaxBatch) {
   std::vector<std::thread> Submitters;
   for (int T = 0; T < Threads; ++T)
     Submitters.emplace_back([&, T] {
+      // One tenant per submitter, so FairShare rotates between them.
+      SubmitOptions SO;
+      SO.Tenant = static_cast<uint32_t>(T);
       // Every request owns its buffers for the whole round trip.
       std::vector<std::unique_ptr<OwnedArgs>> Owned;
       std::vector<size_t> Kind;
@@ -255,7 +259,7 @@ void submitStorm(size_t MaxBatch) {
             ++Mismatches[T];
             continue;
           }
-          Futures.push_back(S.submit(Kernels[P], std::move(Bound)));
+          Futures.push_back(S.submit(Kernels[P], std::move(Bound), SO));
         }
       for (size_t I = 0; I < Futures.size(); ++I) {
         RunStatus Status = Futures[I].get();
@@ -275,8 +279,8 @@ void submitStorm(size_t MaxBatch) {
 
 } // namespace
 
-TEST(ServeStormTest, Unbatched) { submitStorm(1); }
-TEST(ServeStormTest, Batched) { submitStorm(8); }
+TEST(ServeStormTest, Fifo) { submitStorm(SchedulerPolicy::Fifo); }
+TEST(ServeStormTest, FairShare) { submitStorm(SchedulerPolicy::FairShare); }
 
 //===----------------------------------------------------------------------===//
 // Backpressure
@@ -288,7 +292,6 @@ TEST(ServeBackpressureTest, RejectPolicyFailsFastWithOverloaded) {
   Options.Workers = 1;
   Options.QueueCapacity = 4;
   Options.Policy = BackpressurePolicy::Reject;
-  Options.MaxBatch = 1;
   Server S(Options);
 
   Kernel Plug = makePlugKernel();
@@ -337,7 +340,6 @@ TEST(ServeBackpressureTest, BlockPolicyAbsorbsTheBurst) {
   Options.Workers = 1;
   Options.QueueCapacity = 2;
   Options.Policy = BackpressurePolicy::Block;
-  Options.MaxBatch = 1;
   Server S(Options);
 
   Kernel Plug = makePlugKernel();
@@ -373,48 +375,59 @@ TEST(ServeBackpressureTest, BlockPolicyAbsorbsTheBurst) {
 }
 
 //===----------------------------------------------------------------------===//
-// Micro-batching
+// Queue-depth histogram and context pool
 //===----------------------------------------------------------------------===//
 
-TEST(ServeBatchingTest, SameKernelRequestsCoalesceOnlyWhenEnabled) {
+TEST(ServeQueueDepthTest, HistogramSamplesEveryAdmission) {
+  ServerOptions Options;
+  Options.Workers = 1;
+  Options.QueueCapacity = 64;
+  Server S(Options);
+
+  Kernel Plug = makePlugKernel();
+  OwnedArgs PlugArgs(Plug.program());
+  std::future<RunStatus> PlugDone =
+      S.submit(Plug, Plug.bind(PlugArgs.binding()));
+  waitUntilQueueEmpty(S);
+
+  // Queue 8 requests behind the plug: the depth after each push grows
+  // while the worker is busy, and every push is one histogram sample.
   Program Small = makeGemm("i", "j", "k", 8);
-  for (size_t MaxBatch : {size_t(1), size_t(4)}) {
-    resetStatsCounters();
-    ServerOptions Options;
-    Options.Workers = 1;
-    Options.QueueCapacity = 64;
-    Options.MaxBatch = MaxBatch;
-    Server S(Options);
-
-    Kernel Plug = makePlugKernel();
-    OwnedArgs PlugArgs(Plug.program());
-    std::future<RunStatus> PlugDone =
-        S.submit(Plug, Plug.bind(PlugArgs.binding()));
-    waitUntilQueueEmpty(S);
-
-    // Queue 8 same-kernel requests behind the plug; with batching on the
-    // worker drains them in coalesced dispatches.
-    Kernel K = S.compile(Small);
-    std::vector<std::unique_ptr<OwnedArgs>> Owned;
-    std::vector<std::future<RunStatus>> Futures;
-    for (int I = 0; I < 8; ++I) {
-      Owned.push_back(std::make_unique<OwnedArgs>(Small));
-      Futures.push_back(S.submit(K, K.bind(Owned.back()->binding())));
-    }
-    S.drain();
-    EXPECT_TRUE(PlugDone.get().ok());
-    for (auto &F : Futures)
-      EXPECT_TRUE(F.get().ok());
-    if (MaxBatch == 1)
-      EXPECT_EQ(statsCounter("Serve.BatchedRuns"), 0);
-    else
-      EXPECT_GE(statsCounter("Serve.BatchedRuns"), 2);
-    // Histogram samples cover every accepted request.
-    uint64_t Samples = 0;
-    for (uint64_t Bucket : S.queueDepthHistogram())
-      Samples += Bucket;
-    EXPECT_EQ(Samples, 9u); // plug + 8 fillers
+  Kernel K = S.compile(Small);
+  std::vector<std::unique_ptr<OwnedArgs>> Owned;
+  std::vector<std::future<RunStatus>> Futures;
+  for (int I = 0; I < 8; ++I) {
+    Owned.push_back(std::make_unique<OwnedArgs>(Small));
+    Futures.push_back(S.submit(K, K.bind(Owned.back()->binding())));
   }
+  S.drain();
+  EXPECT_TRUE(PlugDone.get().ok());
+  for (auto &F : Futures)
+    EXPECT_TRUE(F.get().ok());
+  uint64_t Samples = 0;
+  for (uint64_t Bucket : S.queueDepthHistogram())
+    Samples += Bucket;
+  EXPECT_EQ(Samples, 9u); // plug + 8 fillers
+}
+
+TEST(ServeContextTest, DrainReturnsTheContextToItsKernelPool) {
+  ServerOptions Options;
+  Options.Workers = 1;
+  Server S(Options);
+  Program Small = makeGemm("i", "j", "k", 8);
+  Kernel K = S.compile(Small);
+  OwnedArgs Args(Small);
+  BoundArgs Bound = K.bind(Args.binding());
+  std::vector<std::future<RunStatus>> Futures;
+  for (int I = 0; I < 16; ++I)
+    Futures.push_back(S.submit(K, Bound));
+  for (auto &F : Futures)
+    EXPECT_TRUE(F.get().ok());
+  S.drain();
+  // The one lane ran every request on a context borrowed from K's pool
+  // and returned it after each run: the worker holds none between
+  // requests.
+  EXPECT_EQ(K.contextPoolSize(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -463,7 +476,6 @@ TEST(ServeSubmitTest, StaleAndUnboundArgsFailTheFuture) {
   OwnedArgs Args(Prog);
   BoundArgs BoundToA = KA.bind(Args.binding());
   ASSERT_TRUE(BoundToA.ok());
-  EXPECT_EQ(BoundToA.kernelToken(), KA.bind(Args.binding()).kernelToken());
 
   // Direct run: rejected as stale.
   RunStatus Direct = KB.run(BoundToA);
@@ -552,12 +564,13 @@ namespace {
 /// sequence numbers in pop order.
 std::vector<uint64_t> popOrder(serve::Scheduler &Sched) {
   std::vector<uint64_t> Order;
-  std::vector<Request> Batch, Expired;
+  std::optional<Request> Next;
+  std::vector<Request> Expired;
   while (Sched.depth() > 0) {
-    if (!Sched.popBatch(Batch, Expired, 1))
+    if (!Sched.pop(Next, Expired))
       break;
-    for (const Request &R : Batch)
-      Order.push_back(R.Seq);
+    if (Next)
+      Order.push_back(Next->Seq);
   }
   return Order;
 }
@@ -654,7 +667,7 @@ TEST(SchedulerPolicyTest, FairShareInterleavesTenantsRoundRobin) {
 TEST(SchedulerPolicyTest, FairShareWeightEarnsConsecutiveTurns) {
   auto Sched = serve::Scheduler::create(SchedulerPolicy::FairShare, 16,
                                         BackpressurePolicy::Reject);
-  // Weight 2 buys tenant 0 two consecutive batch turns per rotation.
+  // Weight 2 buys tenant 0 two consecutive turns per rotation.
   for (int I = 0; I < 4; ++I)
     ASSERT_EQ(pushTenant(*Sched, 0, /*Weight=*/2),
               serve::Scheduler::PushResult::Ok);
@@ -719,10 +732,11 @@ TEST(SchedulerPolicyTest, TenantQuotaConfinesOverflowToItsOwner) {
     EXPECT_EQ(pushTenant(*Sched, 3), serve::Scheduler::PushResult::Ok);
   EXPECT_EQ(Sched->depth(), 12u);
   // Serving one of the heavy tenant's requests frees quota for it.
-  std::vector<Request> Batch, Expired;
-  ASSERT_TRUE(Sched->popBatch(Batch, Expired, 1));
-  ASSERT_EQ(Batch.size(), 1u);
-  EXPECT_EQ(Batch.front().Tenant, 7u);
+  std::optional<Request> Next;
+  std::vector<Request> Expired;
+  ASSERT_TRUE(Sched->pop(Next, Expired));
+  ASSERT_TRUE(Next.has_value());
+  EXPECT_EQ(Next->Tenant, 7u);
   EXPECT_EQ(pushTenant(*Sched, 7), serve::Scheduler::PushResult::Ok);
   EXPECT_EQ(pushTenant(*Sched, 7), serve::Scheduler::PushResult::Overloaded);
 }
@@ -742,11 +756,12 @@ TEST(SchedulerPolicyTest, ExpiredWorkShedsAtAdmissionAndAtPop) {
               serve::Scheduler::PushResult::Ok);
     ASSERT_EQ(pushWith(*Sched, noDeadline()), serve::Scheduler::PushResult::Ok);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    std::vector<Request> Batch, Expired;
-    ASSERT_TRUE(Sched->popBatch(Batch, Expired, 4));
+    std::optional<Request> Next;
+    std::vector<Request> Expired;
+    ASSERT_TRUE(Sched->pop(Next, Expired));
     EXPECT_EQ(Expired.size(), 1u);
-    ASSERT_EQ(Batch.size(), 1u);
-    EXPECT_EQ(Batch.front().Deadline, noDeadline());
+    ASSERT_TRUE(Next.has_value());
+    EXPECT_EQ(Next->Deadline, noDeadline());
   }
 }
 
@@ -773,7 +788,6 @@ TEST(ServeDeadlineTest, DrainCompletesExpiredRequestsWithoutRunningThem) {
   Options.Workers = 1;
   Options.QueueCapacity = 64;
   Options.Policy = BackpressurePolicy::Block;
-  Options.MaxBatch = 1;
   Server S(Options);
 
   // Compile (a multi-millisecond scheduler search) happens before the
@@ -837,7 +851,6 @@ TEST(ServeRetryTest, BackoffAbsorbsTransientOverload) {
   Options.Workers = 1;
   Options.QueueCapacity = 2;
   Options.Policy = BackpressurePolicy::Reject;
-  Options.MaxBatch = 1;
   Server S(Options);
 
   Program Small = makeGemm("i", "j", "k", 8);
@@ -893,7 +906,6 @@ TEST(ServeRetryTest, ExhaustedRetriesStillRejectWithOverloaded) {
   Options.Workers = 1;
   Options.QueueCapacity = 2;
   Options.Policy = BackpressurePolicy::Reject;
-  Options.MaxBatch = 1;
   Server S(Options);
 
   Program Small = makeGemm("i", "j", "k", 8);
@@ -1030,7 +1042,6 @@ TEST(ServeTenantTest, QuotaMakesTheFloodingTenantShedItsOwnOverflow) {
   Options.Policy = BackpressurePolicy::Reject;
   Options.Scheduling = SchedulerPolicy::FairShare;
   Options.TenantQuota = 8;
-  Options.MaxBatch = 1;
   Server S(Options);
   Program Small = makeGemm("i", "j", "k", 8);
   Kernel K = S.compile(Small);
@@ -1106,7 +1117,6 @@ TEST(ServeBrownoutTest, LowPriorityIsShedUnderDistressUnderEveryPolicy) {
     ServerOptions Options;
     Options.Workers = 1;
     Options.QueueCapacity = 4;
-    Options.MaxBatch = 1;
     Options.Policy = BackpressurePolicy::Reject;
     Options.Scheduling = Policy;
     // High watermark at half capacity: depth 2 of 4 is distress.
@@ -1174,7 +1184,6 @@ TEST(ServeBrownoutTest, BrownoutClearsAtTheLowWatermark) {
   ServerOptions Options;
   Options.Workers = 1;
   Options.QueueCapacity = 4;
-  Options.MaxBatch = 1;
   Options.BrownoutHighWater = 0.5;
   Server S(Options);
   Program Small = makeGemm("i", "j", "k", 8);

@@ -27,8 +27,7 @@
 //   candidate lands in the rejected set, and the kernel cools down;
 // - calibration persistence: recorded scale factors survive an Engine
 //   checkpoint round-trip (DatabaseFormatVersion 2);
-// - serving surface: Server::health reports the engine's tuner lane,
-//   and lane context affinity counts Serve.ContextAffinityHits.
+// - serving surface: Server::health reports the engine's tuner lane.
 //
 //===----------------------------------------------------------------------===//
 
@@ -491,15 +490,12 @@ TEST(CalibrationPersistTest, ScalesSurviveCheckpointRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Serving surface: health rows and lane context affinity
+// Serving surface: health rows
 //===----------------------------------------------------------------------===//
 
-TEST(ServeTuneTest, HealthReportsTunerAndAffinityCountsHits) {
-  int64_t HitsBefore = statsCounter("Serve.ContextAffinityHits");
-
+TEST(ServeTuneTest, HealthReportsTuner) {
   ServerOptions Options;
   Options.Workers = 1;
-  Options.MaxBatch = 8;
   Options.QueueCapacity = 256;
   Options.Engine.OnlineTuning.Enable = true;
   Server S(Options);
@@ -511,8 +507,7 @@ TEST(ServeTuneTest, HealthReportsTunerAndAffinityCountsHits) {
   OwnedArgs Expected(G, 5);
   ASSERT_TRUE(Ref.run(Expected.binding()));
 
-  // A same-kernel flood: consecutive dispatches on the one lane reuse
-  // the leased context, each reuse counting an affinity hit.
+  // A same-kernel flood the tuner samples while the lane serves it.
   constexpr int Reps = 64;
   std::vector<std::unique_ptr<OwnedArgs>> Owned;
   std::vector<std::future<RunStatus>> Futures;
@@ -533,8 +528,6 @@ TEST(ServeTuneTest, HealthReportsTunerAndAffinityCountsHits) {
   ASSERT_NE(S.engine().tuner(), nullptr);
   EXPECT_TRUE(Health.TuningEnabled);
   EXPECT_GE(Health.TuneTracked, 1u);
-
-  EXPECT_GT(statsCounter("Serve.ContextAffinityHits"), HitsBefore);
 }
 
 TEST(ServeTuneTest, TuningOffHealthRowsStayDark) {
