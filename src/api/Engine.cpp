@@ -66,9 +66,6 @@ Engine::Engine() : Engine(EngineOptions()) {}
 
 Engine::Engine(EngineOptions Options)
     : Opts(std::move(Options)),
-      Budget(Opts.MemoryBudgetBytes
-                 ? std::make_shared<MemoryBudget>(Opts.MemoryBudgetBytes)
-                 : nullptr),
       Db(std::make_shared<TransferTuningDatabase>()),
       Eval(Opts.Sim, Opts.Eval) {
   loadCheckpointAtConstruction();
@@ -252,26 +249,7 @@ void Engine::lruPushFront(CacheEntry *E) {
   LruHead = E;
 }
 
-bool Engine::tryChargeWithEviction(size_t Bytes, uint64_t ProtectClaim) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  for (;;) {
-    if (Budget->tryCharge(Bytes))
-      return true;
-    CacheEntry *Victim = LruTail;
-    // Stop at the entry being compiled for: evicting our own claim would
-    // drop the key this charge is about to back. Pending victims free no
-    // bytes (their kernel is not charged yet) but still leave the loop
-    // making progress — the list shrinks every iteration.
-    if (!Victim || Victim->Claim == ProtectClaim)
-      return false;
-    lruUnlink(Victim);
-    PlanCache.erase(Victim->Key);
-    addStatsCounter("Engine.BudgetEvictions");
-  }
-}
-
-Kernel Engine::buildKernel(const Program &Prog, const PlanOptions &Options,
-                           uint64_t Claim) {
+Kernel Engine::buildKernel(const Program &Prog, const PlanOptions &Options) {
   std::shared_ptr<KernelImpl> Impl;
   try {
     // Fault site "engine.compile": an armed Throw stands in for any real
@@ -286,44 +264,19 @@ Kernel Engine::buildKernel(const Program &Prog, const PlanOptions &Options,
       Impl->attachProfile(std::make_shared<KernelProfile>(PO));
     }
   } catch (...) {
-    if (!Opts.FallbackOnCompileError)
-      throw;
     // Graceful degradation: the caller proceeds on a tree-walk kernel —
-    // slow but bit-identical. It is budget-accounted like any kernel and
-    // may itself come back exhausted below.
+    // slow but bit-identical.
     addStatsCounter("Engine.CompileFallbacks");
     traceInstant(TraceCategory::Engine, "engine.compile_fallback");
-    Impl = std::make_shared<KernelImpl>(KernelImpl::Mode::TreeWalk, Prog);
-  }
-  if (Budget) {
-    size_t Bytes = Impl->memoryFootprint();
-    // Fault site "engine.budget": a firing Trigger makes this charge act
-    // as failed even when room exists, driving the exhaustion path
-    // deterministically. (An armed Throw counts as forced pressure too —
-    // past the compile, this function must not throw, or a cache
-    // claimant's promise would be set to an error instead of a kernel.)
-    bool Forced;
-    try {
-      Forced = DAISY_FAILPOINT("engine.budget");
-    } catch (...) {
-      Forced = true;
-    }
-    bool Charged = !Forced && (Budget->tryCharge(Bytes) ||
-                               tryChargeWithEviction(Bytes, Claim));
-    if (!Charged) {
-      addStatsCounter("Engine.ResourceExhausted");
-      return Kernel(std::make_shared<const KernelImpl>(
-          KernelImpl::Mode::Exhausted, Prog));
-    }
-    Impl->attachBudget(Budget, Bytes);
+    Impl = std::make_shared<KernelImpl>(Prog);
   }
   // Repeated run faults quarantine the kernel identity, not one compiled
   // instance: the breaker is shared per routing key (null when
   // quarantine is disabled), so eviction and recompilation cannot reset
   // an open breaker.
   Impl->attachBreaker(breakerFor(Prog));
-  // Finished (budget-charged, about to be shared): hand it to the tuner
-  // under its routing key. registerKernel skips tree-walk fallbacks.
+  // Finished (about to be shared): hand it to the tuner under its
+  // routing key. registerKernel skips tree-walk fallbacks.
   if (Tuner)
     Tuner->registerKernel(routingKey(Prog), Impl);
   return Kernel(std::move(Impl));
@@ -333,7 +286,7 @@ Kernel Engine::compile(const Program &Prog, const PlanOptions &Options) {
   if (Opts.PlanCacheCapacity == 0) {
     addStatsCounter("Engine.PlanCompiles");
     TraceSpan CompileSpan(TraceCategory::Engine, "engine.compile");
-    return buildKernel(Prog, Options, 0);
+    return buildKernel(Prog, Options);
   }
   uint64_t Key = planKey(Prog, Options);
   // First requester of a key claims it by inserting a pending future and
@@ -392,18 +345,17 @@ Kernel Engine::compile(const Program &Prog, const PlanOptions &Options) {
     Kernel K;
     std::exception_ptr Failed;
     try {
-      K = buildKernel(Prog, Options, MyClaim);
+      K = buildKernel(Prog, Options);
     } catch (...) {
       Failed = std::current_exception();
     }
     // Only a real compiled kernel keeps the key. A failed build (waiters
-    // get the error), an exhausted kernel, or a tree-walk fallback is
-    // handed to this attempt's waiters but forgotten by the cache, so the
-    // next compile of the key retries for real once the fault or the
-    // budget pressure subsides. Erase only this thread's own claim — the
-    // entry at Key may meanwhile be a different claimant's (ours evicted,
-    // key re-claimed).
-    if (Failed || K.isExhausted() || K.isTreeWalk()) {
+    // get the error) or a tree-walk fallback is handed to this attempt's
+    // waiters but forgotten by the cache, so the next compile of the key
+    // retries for real once the fault subsides. Erase only this thread's
+    // own claim — the entry at Key may meanwhile be a different
+    // claimant's (ours evicted, key re-claimed).
+    if (Failed || K.isTreeWalk()) {
       std::lock_guard<std::mutex> Lock(CacheMutex);
       auto It = PlanCache.find(Key);
       if (It != PlanCache.end() && It->second.Claim == MyClaim) {

@@ -42,7 +42,6 @@
 #include "sched/Evaluator.h"
 #include "sched/Schedulers.h"
 #include "support/CircuitBreaker.h"
-#include "support/MemoryBudget.h"
 #include "tune/Tuner.h"
 
 #include <chrono>
@@ -69,27 +68,6 @@ struct EngineOptions {
   /// Plan-cache capacity in entries; least-recently-used kernels are
   /// evicted beyond it. 0 disables caching (every compile() compiles).
   size_t PlanCacheCapacity = 1024;
-  /// Graceful degradation: when plan compilation throws, compile()
-  /// returns a tree-walk-interpreting Kernel (bit-identical results,
-  /// interpreter speed) instead of propagating the exception into the
-  /// caller — typically the serving loop, where a throw would fail every
-  /// request routed to the program. Each fallback bumps the
-  /// "Engine.CompileFallbacks" counter, and the failed key is not cached,
-  /// so the next compile of the same program retries a real compile.
-  /// Set false to get the exception (differential tests want it).
-  bool FallbackOnCompileError = true;
-  /// Byte budget of engine-retained memory: plan-cache entries (program
-  /// snapshot + compiled plan, including tree-walk fallbacks) and pooled
-  /// per-run contexts. 0 = unlimited. Under pressure the plan cache
-  /// evicts LRU entries ("Engine.BudgetEvictions") and the context pools
-  /// drop contexts instead of retaining them ("Engine.ContextsDropped");
-  /// a kernel that cannot fit even after eviction is returned as a
-  /// resource-exhausted kernel whose runs complete with
-  /// RunStatus::ResourceExhausted instead of executing (surfaced, never
-  /// thrown; "Engine.ResourceExhausted"). Every charge goes through
-  /// MemoryBudget::tryCharge, so the accounted total never exceeds this
-  /// bound at any instant.
-  size_t MemoryBudgetBytes = 0;
   /// Durable tuning-database state (empty = in-memory only). When set,
   /// construction loads the newest valid checkpoint at this path —
   /// support/Persist validates magic, version, and a CRC32 of the
@@ -158,6 +136,15 @@ public:
   /// Compiles \p Prog with the engine's default plan options, reusing the
   /// cached kernel when a structurally identical program (same marks,
   /// arrays, parameter values) was compiled with the same options before.
+  ///
+  /// Graceful degradation: when plan compilation throws, compile()
+  /// returns a tree-walk-interpreting Kernel (bit-identical results,
+  /// interpreter speed) instead of propagating the exception into the
+  /// caller — typically the serving loop, where a throw would fail every
+  /// request routed to the program. Each fallback bumps the
+  /// "Engine.CompileFallbacks" counter, and the failed key is not cached,
+  /// so the next compile of the same program retries a real compile.
+  /// Kernel::compile propagates the exception instead.
   Kernel compile(const Program &Prog);
 
   /// Compiles with explicit plan options (cached under those options).
@@ -193,17 +180,6 @@ public:
 
   /// Number of kernels currently cached.
   size_t planCacheSize() const;
-
-  /// Bytes currently charged against the memory budget (0 when no budget
-  /// is configured and nothing has been charged).
-  size_t memoryBytesUsed() const { return Budget ? Budget->used() : 0; }
-
-  /// High-water mark of memoryBytesUsed(); never exceeds
-  /// EngineOptions::MemoryBudgetBytes when one is set.
-  size_t memoryBytesPeak() const { return Budget ? Budget->peak() : 0; }
-
-  /// The budget shared with this engine's kernels; null when unlimited.
-  const std::shared_ptr<MemoryBudget> &memoryBudget() const { return Budget; }
 
   /// Drops every cached kernel (outstanding Kernel handles stay valid;
   /// the next compile of any program recompiles).
@@ -261,24 +237,16 @@ public:
 private:
   /// The one place compile() builds a kernel, cached or not:
   ///
-  /// 1. Compiles \p Prog under \p Options into a Plan-mode kernel (with a
+  /// 1. Compiles \p Prog under \p Options into a compiled kernel (with a
   ///    tuner profile on tuning engines). When compilation throws — or
-  ///    the "engine.compile" fail point does — the exception propagates
-  ///    unless EngineOptions::FallbackOnCompileError, which builds a
-  ///    tree-walk kernel instead ("Engine.CompileFallbacks").
-  /// 2. With a memory budget, charges the kernel's footprint, evicting
-  ///    plan-cache LRU tails under pressure but never the entry claimed
-  ///    by \p Claim (0 when uncached). When nothing can make room — or
-  ///    the "engine.budget" fail point forces the charge to fail —
-  ///    returns a resource-exhausted kernel instead.
-  /// 3. Attaches the routing key's circuit breaker and registers the
+  ///    the "engine.compile" fail point does — builds a tree-walk kernel
+  ///    instead ("Engine.CompileFallbacks").
+  /// 2. Attaches the routing key's circuit breaker and registers the
   ///    kernel with the tuner.
   ///
   /// The caller decides caching: compile()'s cached branch keeps the key
-  /// only for a Plan-mode result.
-  Kernel buildKernel(const Program &Prog, const PlanOptions &Options,
-                     uint64_t Claim);
-  bool tryChargeWithEviction(size_t Bytes, uint64_t ProtectClaim);
+  /// only for a compiled result.
+  Kernel buildKernel(const Program &Prog, const PlanOptions &Options);
   void loadCheckpointAtConstruction();
   void checkpointLoop();
 
@@ -290,7 +258,6 @@ private:
   std::shared_ptr<CircuitBreaker> breakerFor(const Program &Prog);
 
   EngineOptions Opts;
-  std::shared_ptr<MemoryBudget> Budget; ///< Null when unlimited.
   std::shared_ptr<TransferTuningDatabase> Db;
   Evaluator Eval;
 

@@ -14,11 +14,6 @@
 #include "api/Engine.h"
 #include "exec/ExecPlan.h"
 #include "exec/Interpreter.h"
-#include "exec/ThreadPool.h"
-#include "support/Statistics.h"
-
-#include <algorithm>
-#include <memory>
 
 using namespace daisy;
 
@@ -32,73 +27,15 @@ DataEnv daisy::runProgram(const Program &Prog, uint64_t Seed) {
 
 bool daisy::semanticallyEquivalent(const Program &A, const Program &B,
                                    double Eps, uint64_t Seed) {
-  // Mirror the batch API's caching convention: the reference \p A is the
-  // program with a future (searches compare many candidates against one
-  // original), so it goes through the shared engine; the candidate \p B
-  // is typically checked exactly once — caching it would evict kernels
-  // worth keeping, and wrapping it in a Kernel would pay a needless
-  // whole-program clone, so it compiles and runs directly.
+  // The reference \p A is the program with a future (searches compare
+  // many candidates against one original), so it goes through the shared
+  // engine; the candidate \p B is typically checked exactly once —
+  // caching it would evict kernels worth keeping, and wrapping it in a
+  // Kernel would pay a needless whole-program clone, so it compiles and
+  // runs directly.
   DataEnv EnvA = Engine::shared().compile(A).run(Seed);
   DataEnv EnvB(B);
   EnvB.initDeterministic(Seed);
   ExecPlan::compile(B).run(EnvB);
   return DataEnv::maxAbsDifference(EnvA, EnvB, A) <= Eps;
-}
-
-std::vector<char> daisy::semanticallyEquivalentBatch(
-    const Program &Ref, const std::vector<const Program *> &Candidates,
-    double Eps, uint64_t Seed, int NumThreads) {
-  // The reference is compiled and executed once for the whole batch; its
-  // end state is read-only from here on and shared by every checker. The
-  // compile goes through the shared engine, so repeated batches against
-  // the same reference (every search epoch) skip even that one compile —
-  // Engine.PlanCompiles counts real reference compiles; this counter
-  // counts batch entries (each is at most one reference compile, where
-  // the scalar API would pay one per comparison).
-  addStatsCounter("SemEquivBatch.Batches");
-  DataEnv RefEnv = Engine::shared().compile(Ref).run(Seed);
-
-  std::vector<char> Results(Candidates.size(), 0);
-  auto Check = [&](size_t I) {
-    addStatsCounter("SemEquivBatch.Checks");
-    const Program &Cand = *Candidates[I];
-    // Candidates are transient (most exist for exactly one check), so
-    // they are compiled directly instead of through the engine's plan
-    // cache — caching them would evict kernels with a future.
-    ExecPlan Plan = ExecPlan::compile(Cand);
-    // Per-thread scratch: the environment and the execution context
-    // survive across checks (and across batches) on each pool thread.
-    // The environment is reused whenever the next candidate declares the
-    // same arrays — variants of one kernel differ in loop structure, not
-    // data, so reuse is the common case; the context is plan-agnostic
-    // and reused always.
-    static thread_local std::unique_ptr<DataEnv> Scratch;
-    static thread_local ExecContext Ctx;
-    if (Scratch && Scratch->resetFor(Cand, Seed)) {
-      addStatsCounter("SemEquivBatch.EnvReuses");
-    } else {
-      Scratch = std::make_unique<DataEnv>(Cand);
-      Scratch->initDeterministic(Seed);
-    }
-    Plan.run(*Scratch, Ctx);
-    Results[I] = DataEnv::maxAbsDifference(RefEnv, *Scratch, Ref) <= Eps;
-  };
-
-  size_t Count = Candidates.size();
-  int Threads = NumThreads > 0 ? NumThreads : ThreadPool::defaultThreadCount();
-  int Lanes =
-      static_cast<int>(std::min<size_t>(static_cast<size_t>(Threads), Count));
-  if (Lanes <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Check(I);
-    return Results;
-  }
-  // Lane L verifies candidates L, L+Lanes, ...: concurrency is bounded by
-  // the requested thread count and each verdict lands in its input slot.
-  ThreadPool::global().run(Lanes, [&](int Lane) {
-    for (size_t I = static_cast<size_t>(Lane); I < Count;
-         I += static_cast<size_t>(Lanes))
-      Check(I);
-  });
-  return Results;
 }

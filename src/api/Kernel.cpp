@@ -22,22 +22,12 @@ Kernel Kernel::compile(const Program &Prog, const PlanOptions &Options) {
 }
 
 Kernel Kernel::treeWalk(const Program &Prog) {
-  return Kernel(std::make_shared<const KernelImpl>(KernelImpl::Mode::TreeWalk,
-                                                   Prog));
+  return Kernel(std::make_shared<const KernelImpl>(Prog));
 }
 
-bool Kernel::isTreeWalk() const {
-  return Impl && Impl->RunMode == KernelImpl::Mode::TreeWalk;
-}
+bool Kernel::isTreeWalk() const { return Impl && !Impl->Plan; }
 
-bool Kernel::isExhausted() const {
-  return Impl && Impl->RunMode == KernelImpl::Mode::Exhausted;
-}
-
-size_t Kernel::memoryBytes() const {
-  assert(Impl && "empty kernel handle");
-  return Impl->memoryFootprint();
-}
+bool Kernel::isExhausted() const { return false; }
 
 const Program &Kernel::program() const {
   assert(Impl && "empty kernel handle");
@@ -47,8 +37,8 @@ const Program &Kernel::program() const {
 const ExecPlan &Kernel::plan() const {
   assert(Impl && "empty kernel handle");
   if (!Impl->Plan)
-    throw std::logic_error("Kernel::plan: a tree-walk or resource-exhausted "
-                           "kernel has no compiled plan");
+    throw std::logic_error(
+        "Kernel::plan: a tree-walk kernel has no compiled plan");
   return *Impl->Plan;
 }
 
@@ -66,16 +56,13 @@ RunStatus Kernel::run(const ArgBinding &Args) const {
       !Error.empty())
     return {std::move(Error)};
   // Status-returning runs go through the self-protection layer: the
-  // exhausted-kernel check, the "kernel.run" fault site, and — for
-  // Engine-compiled kernels — the circuit breaker with tree-walk healing
-  // (api/KernelImpl.h).
+  // "kernel.run" fault site and — for Engine-compiled kernels — the
+  // circuit breaker with tree-walk healing (api/KernelImpl.h).
   return runGuardedSlots(*Impl, Slots.data());
 }
 
 void Kernel::run(DataEnv &Env) const {
   assert(Impl && "empty kernel handle");
-  if (Impl->RunMode == KernelImpl::Mode::Exhausted)
-    throw std::runtime_error(RunStatus::resourceExhausted().Error);
   assert(Env.slotCount() == Impl->Prog.arrays().size() &&
          "environment was not allocated for this kernel's program");
   // Every slot is bound, so the dispatch uses the environment's transient

@@ -17,8 +17,8 @@
 /// Every run borrows a per-run execution context from a pool owned by the
 /// kernel: the register file, tape stack, offset scratch, and
 /// kernel-managed transient storage survive from run to run instead of
-/// being reallocated (the per-thread plan scratch reuse the batch
-/// equivalence checker pioneered, now available to every caller).
+/// being reallocated. The pool grows only when a run finds it empty, so
+/// it never holds more contexts than the kernel's peak run concurrency.
 /// Concurrent Kernel::run calls each borrow their own context, so a single
 /// kernel serves any number of threads with results bit-identical to
 /// serial execution.
@@ -73,11 +73,6 @@ struct RunStatus {
     Overloaded, ///< Rejected by server backpressure (queue full).
     ShutDown,   ///< Rejected because the server is shutting down.
     Expired,    ///< Shed: the request's deadline passed before it ran.
-    /// Shed: the engine's memory budget could not hold the kernel (plan
-    /// cache under pressure, nothing left to evict). Surfaced as a
-    /// status, never thrown — the serving loop treats it like any other
-    /// per-request failure.
-    ResourceExhausted,
     /// The kernel's run faulted (the compiled plan threw, or the
     /// "kernel.run" fail point injected a fault) and the tree-walk
     /// healing path could not serve the request either. Engine-compiled
@@ -106,10 +101,6 @@ struct RunStatus {
   }
   static RunStatus expired() {
     return {"request deadline expired before execution", Expired};
-  }
-  static RunStatus resourceExhausted() {
-    return {"engine memory budget exhausted: kernel could not be retained",
-            ResourceExhausted};
   }
   static RunStatus faulted(const std::string &Detail) {
     return {"kernel run faulted: " + Detail, Faulted};
@@ -178,21 +169,9 @@ public:
   /// compile-fallback path).
   bool isTreeWalk() const;
 
-  /// True for kernels the Engine could not fit into its memory budget
-  /// even after evicting the plan cache. Such a kernel still validates
-  /// and binds arguments, but run(ArgBinding) and run(BoundArgs)
-  /// complete with RunStatus::ResourceExhausted instead of executing,
-  /// and run(DataEnv&)/run(Seed) throw std::runtime_error
-  /// with that status's message; no form touches the caller's data. The
-  /// key is not cached, so a later compile (after pressure subsides)
-  /// retries for real.
+  /// Always false: every kernel executes. Kept only because the
+  /// end-to-end benchmark (perfbench/) compiles against it.
   bool isExhausted() const;
-
-  /// Estimated bytes of engine-retained memory this kernel accounts for
-  /// against an engine budget: the program snapshot plus the compiled
-  /// plan (a tree-walk kernel charges only its program). Pooled run
-  /// contexts are charged separately as they are retained.
-  size_t memoryBytes() const;
 
   explicit operator bool() const { return Impl != nullptr; }
 
@@ -201,8 +180,8 @@ public:
   const Program &program() const;
 
   /// The compiled execution plan (stats, thread count). Requires a
-  /// compiled kernel: throws std::logic_error when isTreeWalk() or
-  /// isExhausted(), which have no plan.
+  /// compiled kernel: throws std::logic_error when isTreeWalk(), which
+  /// has no plan.
   const ExecPlan &plan() const;
 
   /// Zero-copy execution on caller-owned buffers. Validates \p Args
@@ -228,12 +207,11 @@ public:
 
   /// Executes on \p Env, which must have been allocated for this
   /// kernel's program (DataEnv slot order is the contract). Thread-safe
-  /// for distinct environments. Throws std::runtime_error, leaving \p Env
-  /// untouched, on an exhausted kernel.
+  /// for distinct environments.
   void run(DataEnv &Env) const;
 
   /// Deterministic-init convenience: allocates an environment, fills it
-  /// from \p Seed, runs, and returns it. Throws like run(DataEnv&).
+  /// from \p Seed, runs, and returns it.
   DataEnv run(uint64_t Seed = 1) const;
 
   /// Number of idle pooled run contexts (observability; grows to the peak

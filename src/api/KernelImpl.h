@@ -22,7 +22,6 @@
 #include "exec/Interpreter.h"
 #include "support/CircuitBreaker.h"
 #include "support/FailPoint.h"
-#include "support/MemoryBudget.h"
 #include "support/Statistics.h"
 #include "tune/Profile.h"
 
@@ -41,29 +40,6 @@
 
 namespace daisy {
 
-/// Rough heap footprint of a program snapshot: array declarations plus a
-/// flat per-node estimate covering the node object, its names, affine
-/// bounds, and expression tree. An estimate — budget accounting needs a
-/// stable number per program, not allocator truth.
-inline size_t programNodeCountForBudget(const NodePtr &N) {
-  size_t Count = 1;
-  if (N->kind() == NodeKind::Loop)
-    for (const NodePtr &Child : static_cast<const Loop &>(*N).body())
-      Count += programNodeCountForBudget(Child);
-  return Count;
-}
-
-inline size_t programMemoryBytes(const Program &P) {
-  size_t Bytes = sizeof(Program) + P.name().capacity();
-  for (const ArrayDecl &Decl : P.arrays())
-    Bytes += sizeof(ArrayDecl) + Decl.Name.capacity() +
-             Decl.Shape.capacity() * sizeof(int64_t);
-  size_t Nodes = 0;
-  for (const NodePtr &N : P.topLevel())
-    Nodes += programNodeCountForBudget(N);
-  return Bytes + Nodes * 256;
-}
-
 /// One hot-swappable compiled alternative of a kernel, produced by the
 /// online tuner (tune/Tuner.h) from a re-scheduled variant of the base
 /// program. Immutable once built: the swap point exchanges whole
@@ -81,83 +57,41 @@ struct PlanVersion {
   PlanVersion(const Program &P, const PlanOptions &Options,
               std::vector<int32_t> Map, uint32_t Id)
       : Prog(P.clone()), Plan(ExecPlan::compile(Prog, Options)),
-        SlotMap(std::move(Map)), Id(Id),
-        MemBytes(sizeof(PlanVersion) + programMemoryBytes(Prog) +
-                 Plan.memoryBytes()) {}
+        SlotMap(std::move(Map)), Id(Id) {}
 
   const Program Prog;
   const ExecPlan Plan;
   const std::vector<int32_t> SlotMap;
-  const uint32_t Id;      ///< Profile-sample tag (base plan = 0).
-  const size_t MemBytes;  ///< Budget charge while installed.
+  const uint32_t Id; ///< Profile-sample tag (base plan = 0).
 };
 
 /// The shared state behind Kernel handles: the program snapshot, its
 /// compiled plan, and a pool of reusable per-run contexts. The program
 /// and plan are immutable after construction; the pool is mutex-guarded.
 ///
-/// How a kernel executes is one Mode, fixed at construction:
+/// How a kernel executes is fixed at construction:
 ///
-/// - Plan: through its compiled ExecPlan (or a hot-swapped PlanVersion).
-///   Kernel::compile and a successful Engine compile build these; Plan is
-///   non-null only in this mode.
-/// - TreeWalk: through the reference tree-walking interpreter, staging
-///   the caller's buffers into a pooled DataEnv. Kernel::treeWalk and the
-///   Engine's compile fallback (Engine::buildKernel) build these. Results
-///   are bit-identical to Plan mode by construction — the tree-walker *is*
-///   the semantics the ExecPlan contract is differentially tested against.
-/// - Exhausted: never executes. Engine::buildKernel returns one when the
-///   memory budget cannot retain the kernel. It binds and validates like
-///   any other, then runGuardedSlots completes it with
-///   RunStatus::ResourceExhausted and Kernel::run(DataEnv&) throws.
+/// - Compiled (Plan non-null): through its ExecPlan (or a hot-swapped
+///   PlanVersion). Kernel::compile and a successful Engine compile build
+///   these.
+/// - Tree-walk (Plan null): through the reference tree-walking
+///   interpreter, staging the caller's buffers into a pooled DataEnv.
+///   Kernel::treeWalk and the Engine's compile fallback
+///   (Engine::buildKernel) build these. Results are bit-identical to a
+///   compiled kernel by construction — the tree-walker *is* the semantics
+///   the ExecPlan contract is differentially tested against.
 ///
 /// Every run form reaches runPreparedSlotsOn, the one place that turns
-/// the mode into an engine; runGuardedSlots is the one place that
-/// refuses an exhausted kernel.
-///
-/// When an Engine hands the impl a MemoryBudget (attachBudget, before the
-/// impl is shared), the kernel participates in byte accounting: SelfBytes
-/// (program + plan) stays charged for the impl's lifetime, and each
-/// pooled context's footprint is (re-)charged when the context is
-/// returned to the pool — a context the budget cannot retain is freed
-/// instead of pooled, which is the pool's pressure response. Every charge
-/// goes through MemoryBudget::tryCharge, so the charged total never
-/// exceeds the budget limit at any instant.
+/// the kernel into an engine.
 class KernelImpl {
 public:
-  enum class Mode : uint8_t { Plan, TreeWalk, Exhausted };
-
-  /// A Plan-mode kernel: compiles \p P under \p Options.
+  /// A compiled kernel: compiles \p P under \p Options.
   KernelImpl(const Program &P, const PlanOptions &Options)
       : Prog(P.clone()), Plan(std::make_unique<const ExecPlan>(
-                             ExecPlan::compile(Prog, Options))),
-        RunMode(Mode::Plan) {}
+                             ExecPlan::compile(Prog, Options))) {}
 
-  /// A kernel without a plan: \p M is TreeWalk or Exhausted.
-  KernelImpl(Mode M, const Program &P) : Prog(P.clone()), RunMode(M) {
-    assert(M != Mode::Plan && "a Plan-mode kernel needs plan options");
-  }
-
-  ~KernelImpl() {
-    if (!Budget)
-      return;
-    size_t Bytes = SelfBytes;
-    for (const std::unique_ptr<RunContext> &Ctx : Pool)
-      Bytes += Ctx->ChargedBytes;
-    if (CurrentV)
-      Bytes += CurrentV->MemBytes;
-    if (PriorV)
-      Bytes += PriorV->MemBytes;
-    Budget->release(Bytes);
-  }
-
-  /// Engine-only, called before the impl is shared: records that \p
-  /// ChargedSelfBytes were already charged to \p B on this kernel's
-  /// behalf. The destructor releases them (plus whatever the pool holds).
-  void attachBudget(std::shared_ptr<MemoryBudget> B, size_t ChargedSelfBytes) {
-    Budget = std::move(B);
-    SelfBytes = ChargedSelfBytes;
-  }
+  /// A tree-walk kernel: no plan.
+  explicit KernelImpl(const Program &P) : Prog(P.clone()) {}
 
   /// Engine-only, called before the impl is shared: this kernel's
   /// routing-key circuit breaker (shared across recompiles of the same
@@ -178,14 +112,6 @@ public:
   }
   const KernelProfile *profile() const { return Profile.get(); }
 
-  /// Bytes the engine retains for this kernel outside the context pool:
-  /// the program snapshot plus the compiled plan. Pool contexts are
-  /// charged per context as they are retained.
-  size_t memoryFootprint() const {
-    return sizeof(KernelImpl) + programMemoryBytes(Prog) +
-           (Plan ? Plan->memoryBytes() : 0);
-  }
-
   /// One run's worth of reusable state: the exec-layer scratch, the slot
   /// table of the zero-copy path, kernel-managed transient storage (per
   /// slot; empty vectors for caller-bound slots), and — tree-walk runs
@@ -196,10 +122,6 @@ public:
     std::vector<BufferRef> Slots;
     std::vector<std::vector<double>> Transients;
     std::unique_ptr<DataEnv> WalkEnv;
-    /// Bytes this context holds charged against the engine budget while
-    /// it sits in the pool (0 when unbudgeted or freshly allocated). An
-    /// acquired context keeps its charge — it still holds the memory.
-    size_t ChargedBytes = 0;
     /// Hot-swap cache: the plan version this context last resolved, and
     /// the swap epoch it was resolved at. Steady state (no swap since)
     /// pays one relaxed atomic epoch load per run instead of a
@@ -208,18 +130,6 @@ public:
     std::shared_ptr<const PlanVersion> Version;
     uint64_t VersionEpoch = ~0ull;
   };
-
-  /// Footprint of one run context's scratch (capacity-based).
-  static size_t contextBytes(const RunContext &Ctx) {
-    size_t Bytes = sizeof(RunContext) + Ctx.Exec.memoryBytes() +
-                   Ctx.Slots.capacity() * sizeof(BufferRef) +
-                   Ctx.Transients.capacity() * sizeof(std::vector<double>);
-    for (const std::vector<double> &T : Ctx.Transients)
-      Bytes += T.capacity() * sizeof(double);
-    if (Ctx.WalkEnv)
-      Bytes += Ctx.WalkEnv->memoryBytes();
-    return Bytes;
-  }
 
   std::unique_ptr<RunContext> acquire() const {
     std::lock_guard<std::mutex> Lock(PoolMutex);
@@ -232,24 +142,6 @@ public:
   }
 
   void release(std::unique_ptr<RunContext> Ctx) const {
-    if (Budget) {
-      // Re-measure at return time: the run may have grown the scratch.
-      // Only the delta is charged, and through tryCharge — a context the
-      // budget cannot retain is freed, not pooled, so the charged total
-      // never exceeds the limit.
-      size_t NewBytes = contextBytes(*Ctx);
-      size_t OldBytes = Ctx->ChargedBytes;
-      if (NewBytes > OldBytes) {
-        if (!Budget->tryCharge(NewBytes - OldBytes)) {
-          Budget->release(OldBytes);
-          addStatsCounter("Engine.ContextsDropped");
-          return; // Ctx is freed here; the next acquire allocates fresh.
-        }
-      } else if (OldBytes > NewBytes) {
-        Budget->release(OldBytes - NewBytes);
-      }
-      Ctx->ChargedBytes = NewBytes;
-    }
     std::lock_guard<std::mutex> Lock(PoolMutex);
     Pool.push_back(std::move(Ctx));
   }
@@ -305,13 +197,10 @@ public:
 
   /// Installs \p V as the running plan, retaining the previous version
   /// (possibly the base plan) for rollback. Fails when a probe is
-  /// already in flight or the engine budget cannot hold the version's
-  /// footprint. On success every subsequent run executes \p V.
+  /// already in flight. On success every subsequent run executes \p V.
   bool installProbe(std::shared_ptr<const PlanVersion> V) const {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     if (ProbeActive || !V)
-      return false;
-    if (Budget && !Budget->tryCharge(V->MemBytes))
       return false;
     PriorV = std::atomic_load_explicit(&CurrentV, std::memory_order_relaxed);
     std::atomic_store_explicit(&CurrentV, std::move(V),
@@ -322,32 +211,26 @@ public:
   }
 
   /// Commits the in-flight probe: the candidate stays current and the
-  /// rollback target is dropped (its budget charge released).
+  /// rollback target is dropped.
   bool promoteProbe() const {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     if (!ProbeActive)
       return false;
-    if (Budget && PriorV)
-      Budget->release(PriorV->MemBytes);
     PriorV.reset();
     ProbeActive = false;
     return true;
   }
 
   /// Reverts the in-flight probe: the prior version (or the base plan)
-  /// becomes current again and the candidate's charge is released.
+  /// becomes current again.
   bool rollbackProbe() const {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     if (!ProbeActive)
       return false;
-    std::shared_ptr<const PlanVersion> Candidate =
-        std::atomic_load_explicit(&CurrentV, std::memory_order_relaxed);
     std::atomic_store_explicit(&CurrentV, PriorV, std::memory_order_release);
     PriorV.reset();
     ProbeActive = false;
     SwapEpoch.fetch_add(1, std::memory_order_release);
-    if (Budget && Candidate)
-      Budget->release(Candidate->MemBytes);
     return true;
   }
 
@@ -358,15 +241,9 @@ public:
   }
 
   const Program Prog;
-  const std::unique_ptr<const ExecPlan> Plan; ///< Null unless Mode::Plan.
-  const Mode RunMode;
+  const std::unique_ptr<const ExecPlan> Plan; ///< Null for a tree-walk kernel.
 
 private:
-  /// Budget accounting (null when the owning Engine has no budget).
-  /// Written once by attachBudget before the impl is shared.
-  std::shared_ptr<MemoryBudget> Budget;
-  size_t SelfBytes = 0;
-
   /// Quarantine state (null when the owning Engine disabled it, or for
   /// kernels built outside an Engine). Written once by attachBreaker
   /// before the impl is shared.
@@ -517,13 +394,9 @@ inline void runTreeWalkSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
 /// Caller-bound slots are used as-is; null slots and version-local slots
 /// (SlotMap -1) must be transient and get kernel-managed scratch zeroed
 /// each run, so semantics match a freshly allocated DataEnv.
-/// An Exhausted kernel never gets here: runGuardedSlots and
-/// Kernel::run(DataEnv&) refuse it first.
 inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
-  assert(Impl.RunMode != KernelImpl::Mode::Exhausted &&
-         "exhausted kernels are refused before dispatch");
-  if (Impl.RunMode == KernelImpl::Mode::TreeWalk)
+  if (!Impl.Plan)
     return runTreeWalkSlotsOn(Impl, Slots, Ctx);
   const PlanVersion *V = Impl.resolveVersion(Ctx);
   const std::vector<ArrayDecl> &Arrays = (V ? V->Prog : Impl.Prog).arrays();
@@ -550,7 +423,7 @@ inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
 /// attached and the 1-in-SampleEvery gate fires, the run is timed and the
 /// (version, nanoseconds) sample recorded into the lock-free ring. The
 /// sampled version id is read from the context's pinned resolve, so a
-/// concurrent swap cannot mislabel the sample. Only Plan-mode kernels
+/// concurrent swap cannot mislabel the sample. Only compiled kernels
 /// carry a profile (Engine::buildKernel).
 inline void runProfiledSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
@@ -576,8 +449,6 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 /// layer — what both status-returning run forms (run(ArgBinding),
 /// run(BoundArgs)) dispatch through, after their binding checks:
 ///
-/// - An Exhausted kernel completes with RunStatus::ResourceExhausted
-///   before any fail point is evaluated.
 /// - Fault site "kernel.run": a firing Trigger injects a run fault (the
 ///   plan "crashed"); Delay keeps its slow-kernel meaning.
 /// - A fault on a breakered kernel (Engine-compiled) is recorded against
@@ -597,8 +468,6 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 /// not mid-kernel.
 inline RunStatus runGuardedSlots(const KernelImpl &Impl,
                                  const BufferRef *Slots) {
-  if (Impl.RunMode == KernelImpl::Mode::Exhausted)
-    return RunStatus::resourceExhausted();
   PooledContext Ctx(Impl);
   CircuitBreaker *Breaker = Impl.breaker();
   CircuitBreaker::Gate G = CircuitBreaker::Gate::Allow;

@@ -51,26 +51,9 @@ public:
   /// True if \p Array has storage here.
   bool contains(const std::string &Array) const;
 
-  /// Estimated heap footprint of the buffers (and name tables) in bytes.
-  /// Feeds the engine memory budget's accounting of pooled tree-walk
-  /// environments.
-  size_t memoryBytes() const;
-
   /// Deterministically fills every non-transient array with a PolyBench-
   /// style pattern derived from \p Seed and the element index.
   void initDeterministic(uint64_t Seed = 1);
-
-  /// Prepares this environment for a fresh deterministic run of \p Prog
-  /// without reallocating: when \p Prog declares exactly the arrays this
-  /// environment was built for (names, element counts, and transient
-  /// flags, in slot order), transient buffers are zeroed, observable
-  /// buffers are refilled from \p Seed, and the call returns true — the
-  /// state is then indistinguishable from DataEnv(Prog) +
-  /// initDeterministic(Seed). Returns false (environment untouched) on
-  /// any mismatch; the caller must allocate a fresh environment. This is
-  /// how batch equivalence checking reuses per-thread scratch across
-  /// candidate programs.
-  bool resetFor(const Program &Prog, uint64_t Seed = 1);
 
   /// Largest absolute difference over all non-transient arrays present in
   /// both environments; asserts on shape mismatch.
@@ -82,7 +65,6 @@ private:
   std::vector<std::string> SlotNames;
   std::map<std::string, size_t> Slots;
   std::vector<size_t> NonTransient;
-  std::vector<bool> TransientFlags; ///< Per-slot, for resetFor matching.
 };
 
 } // namespace daisy

@@ -558,19 +558,6 @@ ExecContext::~ExecContext() = default;
 ExecContext::ExecContext(ExecContext &&Other) noexcept = default;
 ExecContext &ExecContext::operator=(ExecContext &&Other) noexcept = default;
 
-size_t ExecContext::memoryBytes() const {
-  if (!St)
-    return sizeof(State); // Moved-from; healedState reallocates on use.
-  const State &S = *St;
-  return sizeof(State) +
-         (S.Regs.capacity() + S.LoopHi.capacity() + S.Offs.capacity() +
-          S.WOffs.capacity()) *
-             sizeof(int64_t) +
-         S.Stack.capacity() * sizeof(double) +
-         S.Ptrs.capacity() * sizeof(double *) +
-         S.Sizes.capacity() * sizeof(size_t);
-}
-
 namespace {
 
 /// Evaluates a statement's tape over \p Stack. \p Off maps a load access
@@ -1221,44 +1208,6 @@ void ExecPlan::run(const BufferRef *Slots, size_t SlotCount,
   }
   PlanExecutor Executor(*this, St);
   Executor.exec(0, Ops.size());
-}
-
-namespace {
-
-size_t linearFormBytes(const LinearForm &F) {
-  return F.Terms.capacity() * sizeof(std::pair<int32_t, int64_t>);
-}
-
-size_t planAccessBytes(const PlanAccess &A) {
-  size_t Bytes = linearFormBytes(A.Base) +
-                 A.DimChecks.capacity() *
-                     sizeof(std::pair<LinearForm, int64_t>);
-  for (const auto &[Form, Extent] : A.DimChecks) {
-    (void)Extent;
-    Bytes += linearFormBytes(Form);
-  }
-  return Bytes;
-}
-
-} // namespace
-
-size_t ExecPlan::memoryBytes() const {
-  size_t Bytes = sizeof(ExecPlan) + Ops.capacity() * sizeof(PlanOp);
-  for (const PlanOp &Op : Ops) {
-    Bytes += linearFormBytes(Op.Lower) + linearFormBytes(Op.Upper) +
-             Op.PrivateSlots.capacity() * sizeof(std::pair<int32_t, int64_t>) +
-             Op.Stmts.capacity() * sizeof(CompiledStmt) +
-             Op.ArgSlots.capacity() * sizeof(int32_t) +
-             Op.CallDims.capacity() * sizeof(int64_t);
-    for (const CompiledStmt &S : Op.Stmts) {
-      Bytes += S.Tape.capacity() * sizeof(TapeInstr) +
-               S.Loads.capacity() * sizeof(PlanAccess) +
-               planAccessBytes(S.Write);
-      for (const PlanAccess &L : S.Loads)
-        Bytes += planAccessBytes(L);
-    }
-  }
-  return Bytes;
 }
 
 ExecPlan::Stats ExecPlan::stats() const {

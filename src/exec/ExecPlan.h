@@ -255,12 +255,6 @@ public:
   ExecContext(const ExecContext &) = delete;
   ExecContext &operator=(const ExecContext &) = delete;
 
-  /// Estimated heap footprint of this context's scratch in bytes
-  /// (capacity-based, so it reflects what is actually held, not what the
-  /// last run touched). Feeds the engine memory budget's context-pool
-  /// accounting.
-  size_t memoryBytes() const;
-
 private:
   friend class ExecPlan;
   friend class PlanExecutor;
@@ -322,11 +316,6 @@ public:
   void run(const BufferRef *Slots, size_t SlotCount, ExecContext &Ctx) const;
 
   Stats stats() const;
-
-  /// Estimated heap footprint of the compiled plan in bytes (ops, tapes,
-  /// access tables). An estimate, not an exact allocator measurement; it
-  /// is stable for a given plan, which is what budget accounting needs.
-  size_t memoryBytes() const;
 
   /// Resolved thread count this plan forks parallel loops into.
   int threadCount() const { return ThreadCount; }

@@ -8,7 +8,7 @@
 
 // This file is the tree-walking semantics definition only. The cached
 // convenience wrappers (interpret / runProgram /
-// semanticallyEquivalent{,Batch}) route through the process-wide engine
+// semanticallyEquivalent) route through the process-wide engine
 // and are defined in api/Facade.cpp, so exec never includes the facade
 // and the library's include graph stays strictly layered.
 #include "blas/Kernels.h"

@@ -52,32 +52,6 @@ DataEnv runProgram(const Program &Prog, uint64_t Seed = 1);
 bool semanticallyEquivalent(const Program &A, const Program &B,
                             double Eps = 1e-9, uint64_t Seed = 1);
 
-/// Batch equivalence: checks every program of \p Candidates against
-/// \p Ref, concurrently over the thread pool, and returns the verdicts in
-/// input order (Result[I] != 0 iff semanticallyEquivalent(Ref,
-/// *Candidates[I], Eps, Seed) would return true). The scheduler search
-/// verifies whole candidate sets at once, so the hot-path costs are paid
-/// per batch instead of per check:
-///
-/// - the reference program is compiled and executed at most once per
-///   batch (counter "SemEquivBatch.Batches" counts batch entries;
-///   "Engine.PlanCompiles" counts actual compiles, which the shared
-///   engine's plan cache can elide entirely across batches — the scalar
-///   API re-runs the reference for every comparison);
-/// - each pool thread keeps its data environment alive across checks and
-///   reuses it whenever the next candidate declares the same arrays
-///   (DataEnv::resetFor; counter "SemEquivBatch.EnvReuses"), so register
-///   scratch and buffers are not reallocated per candidate.
-///
-/// Verdicts are element-wise independent and deterministic, hence
-/// identical at every \p NumThreads (0 resolves to
-/// ThreadPool::defaultThreadCount()).
-std::vector<char>
-semanticallyEquivalentBatch(const Program &Ref,
-                            const std::vector<const Program *> &Candidates,
-                            double Eps = 1e-9, uint64_t Seed = 1,
-                            int NumThreads = 0);
-
 } // namespace daisy
 
 #endif // DAISY_EXEC_INTERPRETER_H

@@ -171,30 +171,29 @@ size_t TraceRecorder::capacity() const {
 void TraceRecorder::emitAt(TracePhase Phase, TraceCategory Category,
                            uint16_t NameId, uint64_t StartNs, uint64_t DurNs,
                            uint64_t Arg) {
-  // The enabled() check already passed; synchronize with the enabling
-  // thread so the ring publication is visible (fence-atomic pairing with
-  // the release stores in enable()).
-  std::atomic_thread_fence(std::memory_order_acquire);
+  // The enabled() check already passed; these acquire loads pair with the
+  // release stores in enable(), so the ring they name is visible.
   uint64_t M = Mask.load(std::memory_order_acquire);
   Cell *Ring = RingPtr.load(std::memory_order_acquire);
   if (!Ring)
     return;
   uint64_t H = Head.fetch_add(1, std::memory_order_relaxed);
   Cell &C = Ring[H & M];
-  // Seqlock write: invalidate, release-fence, payload (relaxed atomics),
-  // publish. A reader that observes any payload word of this write also
-  // observes the invalidation when it re-reads Seq, so it can never
-  // validate a torn event.
+  // Seqlock write: invalidate, payload (release stores), publish. A
+  // reader that acquire-loads any payload word of this write synchronizes
+  // with that store, so the invalidation before it is visible when the
+  // reader re-reads Seq, and a torn event never validates. Release
+  // stores instead of a standalone fence, because ThreadSanitizer models
+  // the former and not the latter.
   C.Seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  C.W0.store(StartNs, std::memory_order_relaxed);
+  C.W0.store(StartNs, std::memory_order_release);
   C.W1.store((static_cast<uint64_t>(currentTraceTid()) << 32) |
                  (static_cast<uint64_t>(Phase) << 24) |
                  (static_cast<uint64_t>(Category) << 16) |
                  static_cast<uint64_t>(NameId),
-             std::memory_order_relaxed);
-  C.W2.store(DurNs, std::memory_order_relaxed);
-  C.W3.store(Arg, std::memory_order_relaxed);
+             std::memory_order_release);
+  C.W2.store(DurNs, std::memory_order_release);
+  C.W3.store(Arg, std::memory_order_release);
   C.Seq.store(H + 1, std::memory_order_release);
 }
 
@@ -212,11 +211,12 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
     if (S1 == 0)
       continue; // Empty, or a write in flight right now.
     TraceEvent E;
-    E.StartNs = C.W0.load(std::memory_order_relaxed);
-    uint64_t W1 = C.W1.load(std::memory_order_relaxed);
-    E.DurNs = C.W2.load(std::memory_order_relaxed);
-    E.Arg = C.W3.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire payload loads order the Seq re-read after them (see
+    // emitAt).
+    E.StartNs = C.W0.load(std::memory_order_acquire);
+    uint64_t W1 = C.W1.load(std::memory_order_acquire);
+    E.DurNs = C.W2.load(std::memory_order_acquire);
+    E.Arg = C.W3.load(std::memory_order_acquire);
     if (C.Seq.load(std::memory_order_relaxed) != S1)
       continue; // Overwritten mid-copy; the cell's new event is whole
                 // elsewhere in a later snapshot.

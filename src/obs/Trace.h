@@ -19,9 +19,10 @@
 /// - Recording is lock-free: a writer claims a cell with one relaxed
 ///   fetch_add on the monotonic head (cell = head & mask), then publishes
 ///   the event through a per-cell seqlock — the sequence word is
-///   invalidated, the payload words are stored as relaxed atomics, and
-///   the claim index + 1 is release-stored as the new sequence. A reader
-///   validates the sequence around its payload copy, so a cell being
+///   invalidated, the payload words are release-stored, and the claim
+///   index + 1 is release-stored as the new sequence. A reader
+///   acquire-loads the payload and validates the sequence around that
+///   copy, so a cell being
 ///   overwritten mid-export is skipped, never torn: every event the
 ///   export contains really happened, whole.
 /// - The ring holds the most recent Capacity events; older ones are

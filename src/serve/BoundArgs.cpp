@@ -38,9 +38,8 @@ RunStatus Kernel::run(const BoundArgs &Args) const {
   if (Args.Bound != Impl)
     return {"stale BoundArgs: bound against a different kernel (slot "
             "tables do not transfer; re-bind against this kernel)"};
-  // The guarded path refuses an exhausted kernel, owns the "kernel.run"
-  // fault site (an armed Delay makes this kernel slow, a Trigger injects
-  // a run fault) and the circuit-breaker quarantine of Engine-compiled
-  // kernels.
+  // The guarded path owns the "kernel.run" fault site (an armed Delay
+  // makes this kernel slow, a Trigger injects a run fault) and the
+  // circuit-breaker quarantine of Engine-compiled kernels.
   return runGuardedSlots(*Impl, Args.Slots.data());
 }

@@ -11,15 +11,10 @@
 /// disarms exactly those sites on destruction, so a test that throws or
 /// early-returns can never leak an armed fault into the next test.
 ///
-/// The serving runtime currently marks seven sites:
+/// The serving runtime currently marks six sites:
 ///
 ///   "engine.compile"     Engine::compile plan compilation (Throw here
 ///                        exercises the tree-walk fallback);
-///   "engine.budget"      the memory-budget charge of a freshly compiled
-///                        kernel (Trigger denies the charge as if the
-///                        budget were exhausted, forcing the
-///                        ResourceExhausted kernel path; only evaluated
-///                        when EngineOptions::MemoryBudgetBytes is set);
 ///   "engine.quarantine"  the breaker admission of a guarded run
 ///                        (Trigger slams a closed breaker open as if the
 ///                        failure threshold had been crossed — requests

@@ -277,9 +277,9 @@ void Server::workerLane() {
 void Server::dispatch(Request &R) {
   TimePoint RunStart = serveNow(); // Claim → dispatch start ends here.
   // The guarded path of a synchronous Kernel::run(BoundArgs): it fails
-  // non-ok and stale arguments and exhausted kernels with their status,
-  // owns the "kernel.run" fault site and the circuit breaker, and returns
-  // the borrowed context to the kernel's pool when the run ends.
+  // non-ok and stale arguments with their status, owns the "kernel.run"
+  // fault site and the circuit breaker, and returns the borrowed context
+  // to the kernel's pool when the run ends.
   RunStatus Status = R.K.run(R.Args);
   TimePoint Now = serveNow();
   recordLatency(R.EnqueuedAt, Now);
@@ -372,9 +372,6 @@ HealthSnapshot Server::health() {
   H.BrownoutSheds = CBrownoutSheds.load(std::memory_order_relaxed);
   H.Quarantined = Eng.quarantinedCount();
   H.CheckpointGeneration = Eng.checkpointGeneration();
-  H.BudgetUsedBytes = Eng.memoryBytesUsed();
-  H.BudgetPeakBytes = Eng.memoryBytesPeak();
-  H.BudgetLimitBytes = Eng.options().MemoryBudgetBytes;
   if (const OnlineTuner *T = Eng.tuner()) {
     OnlineTuner::Stats S = T->stats();
     H.TuningEnabled = S.Enabled;

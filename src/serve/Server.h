@@ -156,9 +156,6 @@ struct HealthSnapshot {
   int64_t BrownoutSheds = 0;       ///< Low requests shed at admission.
   size_t Quarantined = 0;          ///< Keys with a non-closed breaker.
   uint64_t CheckpointGeneration = 0; ///< Newest written/recovered.
-  size_t BudgetUsedBytes = 0;      ///< Engine-retained memory right now.
-  size_t BudgetPeakBytes = 0;      ///< High-water mark.
-  size_t BudgetLimitBytes = 0;     ///< 0 = unlimited.
   /// Online tuner view (EngineOptions::OnlineTuning; zeros when off).
   bool TuningEnabled = false;
   size_t TuneTracked = 0;          ///< Kernels under measurement.
@@ -169,8 +166,7 @@ struct HealthSnapshot {
   int64_t Submitted = 0, Completed = 0, Rejected = 0, Expired = 0;
   std::vector<TenantRow> Tenants; ///< Every tenant seen so far.
   /// The overall verdict: admission is not shedding and no kernel is
-  /// quarantined. Budget pressure informs but does not fail the
-  /// verdict — the server is still meeting its contract through it.
+  /// quarantined.
   bool healthy() const { return !Brownout && Quarantined == 0; }
 };
 
@@ -243,10 +239,10 @@ public:
   void drain();
 
   /// A structured health snapshot: queue depth, brownout and quarantine
-  /// state, budget telemetry, rolling latency quantiles, and per-tenant
-  /// outcome counters. Also re-evaluates the brownout gate, so a server
-  /// whose queue drained while no submits arrived leaves brownout on the
-  /// next health() call.
+  /// state, checkpoint and tuner progress, rolling latency quantiles, and
+  /// per-tenant outcome counters. Also re-evaluates the brownout gate, so
+  /// a server whose queue drained while no submits arrived leaves
+  /// brownout on the next health() call.
   HealthSnapshot health();
 
   /// Requests admitted but not yet picked up by a worker.

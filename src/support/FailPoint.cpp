@@ -186,12 +186,12 @@ namespace {
 
 /// Environment arming: DAISY_FAILPOINTS holds a spec-grammar scenario
 /// armed for the whole process before main() runs, seeded from
-/// DAISY_FAILPOINTS_SEED (decimal, default 0xDA15E). This is how ctest
-/// arms sites a test binary does not arm itself — "engine.budget" across
-/// the serving fault matrix. Sites never marked by the running code cost
-/// nothing; a malformed spec is reported and ignored rather than
-/// aborting the process it was meant to observe (armFailPointsFromEnv,
-/// which tests exercise directly).
+/// DAISY_FAILPOINTS_SEED (decimal, default 0xDA15E). This arms sites a
+/// binary does not arm itself, such as a fault under an example or a
+/// bench. Sites never marked by the running code cost nothing; a
+/// malformed spec is reported and ignored rather than aborting the
+/// process it was meant to observe (armFailPointsFromEnv, which tests
+/// exercise directly).
 struct EnvScenario {
   EnvScenario() {
     (void)armFailPointsFromEnv(std::getenv("DAISY_FAILPOINTS"),

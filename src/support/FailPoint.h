@@ -27,10 +27,10 @@
 ///
 /// Arming can also come from the environment: when the process starts
 /// with DAISY_FAILPOINTS=<spec> set (same grammar as
-/// armFailPointsFromSpec, e.g. "engine.budget=trigger@0.25"), the
-/// scenario is armed process-wide before main(), seeded from
-/// DAISY_FAILPOINTS_SEED. The ServeFaultTest_seed<N>_budget ctest
-/// entries use this to drive a site the test binary does not arm itself.
+/// armFailPointsFromSpec, e.g. "kernel.run=trigger@0.25"), the scenario
+/// is armed process-wide before main(), seeded from
+/// DAISY_FAILPOINTS_SEED. This drives a site a binary does not arm
+/// itself, without rebuilding it.
 ///
 /// Fail points are compiled into every build, so the tests that arm them
 /// run in Release too. An unarmed site costs an out-of-line call to

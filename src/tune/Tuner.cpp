@@ -114,7 +114,7 @@ void OnlineTuner::laneLoop() {
 
 void OnlineTuner::registerKernel(uint64_t RoutingKey,
                                  std::shared_ptr<const KernelImpl> Impl) {
-  if (!Impl || Impl->RunMode != KernelImpl::Mode::Plan)
+  if (!Impl || !Impl->Plan)
     return;
   std::lock_guard<std::mutex> Lock(RegMutex);
   auto It = Registry.find(RoutingKey);
@@ -302,7 +302,7 @@ bool OnlineTuner::tryImprove(uint64_t Key,
     return false;
   }
   if (!Impl->installProbe(std::move(V)))
-    return false; // Probe already in flight, or budget pressure.
+    return false; // Probe already in flight.
   {
     std::lock_guard<std::mutex> Lock(RegMutex);
     auto It = Registry.find(Key);

@@ -125,8 +125,8 @@ public:
   /// of the same key (plan-cache eviction recompiled it) rebinds the
   /// entry to the new instance and abandons any in-flight probe state —
   /// the old impl keeps its plan until the last handle drops. Kernels
-  /// without a plan (tree-walk fallbacks, exhausted kernels) are skipped:
-  /// there is nothing to swap.
+  /// without a plan (tree-walk fallbacks) are skipped: there is nothing
+  /// to swap.
   void registerKernel(uint64_t RoutingKey,
                       std::shared_ptr<const KernelImpl> Impl);
 

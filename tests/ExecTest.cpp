@@ -6,9 +6,7 @@
 
 #include "exec/Interpreter.h"
 #include "blas/Kernels.h"
-#include "frontends/PolyBench.h"
 #include "ir/Builder.h"
-#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
@@ -208,95 +206,4 @@ TEST(BlasKernelTest, EfficiencyModelSane) {
   EXPECT_LT(blasEfficiency(BlasKind::Gemv, {512, 512}), 0.3);
   EXPECT_LT(blasEfficiency(BlasKind::Gemm, {16, 16, 16}),
             blasEfficiency(BlasKind::Gemm, {512, 512, 512}));
-}
-
-//===----------------------------------------------------------------------===//
-// Batch equivalence checking
-//===----------------------------------------------------------------------===//
-
-TEST(SemEquivBatchTest, MatchesScalarOverAllPolyBenchVariants) {
-  // Differential over every frontend kernel: the batch verdicts must be
-  // exactly the N scalar verdicts, at several thread counts. B and
-  // NPBench variants are semantically equivalent alternates of A, so
-  // this also exercises the true-positive path everywhere.
-  for (PolyBenchKernel Kernel : allPolyBenchKernels()) {
-    Program A = buildPolyBench(Kernel, VariantKind::A);
-    Program B = buildPolyBench(Kernel, VariantKind::B);
-    Program NP = buildPolyBench(Kernel, VariantKind::NPBench);
-    std::vector<const Program *> Candidates = {&B, &NP, &A};
-    std::vector<char> Expected;
-    for (const Program *Candidate : Candidates)
-      Expected.push_back(semanticallyEquivalent(A, *Candidate) ? 1 : 0);
-    for (int Threads : {1, 2, 4}) {
-      std::vector<char> Got =
-          semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, Threads);
-      ASSERT_EQ(Got.size(), Expected.size());
-      for (size_t I = 0; I < Got.size(); ++I)
-        EXPECT_EQ(Got[I] != 0, Expected[I] != 0)
-            << polyBenchName(Kernel) << " candidate " << I << " threads "
-            << Threads;
-    }
-  }
-}
-
-TEST(SemEquivBatchTest, DetectsInequivalentCandidate) {
-  Program A = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);
-  Program B = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::B);
-  // Corrupt one coefficient: verdict must be negative, in the right slot.
-  Program Broken = B.clone();
-  auto *L = dynCast<Loop>(Broken.topLevel()[0]);
-  ASSERT_NE(L, nullptr);
-  L->setBounds(L->lower(), L->upper(), 2); // skip every other row
-  std::vector<const Program *> Candidates = {&B, &Broken};
-  std::vector<char> Verdicts = semanticallyEquivalentBatch(A, Candidates);
-  EXPECT_NE(Verdicts[0], 0);
-  EXPECT_EQ(Verdicts[1], 0);
-}
-
-TEST(SemEquivBatchTest, CompilesReferenceOncePerBatch) {
-  Program A = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);
-  Program B = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::B);
-  Program NP = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::NPBench);
-  std::vector<const Program *> Candidates = {&B, &NP, &A, &B, &NP};
-  resetStatsCounters();
-  semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, /*NumThreads=*/4);
-  // One batch entry, five per-candidate checks. The reference compile
-  // goes through the shared engine's plan cache: at most one real
-  // compile for this batch, none if the reference was already cached.
-  EXPECT_EQ(statsCounter("SemEquivBatch.Batches"), 1);
-  EXPECT_EQ(statsCounter("SemEquivBatch.Checks"),
-            static_cast<int64_t>(Candidates.size()));
-  EXPECT_LE(statsCounter("Engine.PlanCompiles"), 1);
-
-  // A second batch against the same reference pays zero reference
-  // compiles — the cached kernel is reused.
-  resetStatsCounters();
-  semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, /*NumThreads=*/4);
-  EXPECT_EQ(statsCounter("Engine.PlanCompiles"), 0);
-  EXPECT_EQ(statsCounter("Engine.PlanCacheHits"), 1);
-}
-
-TEST(DataEnvTest, ResetForReproducesFreshEnvironment) {
-  Program Prog("p");
-  Prog.addArray("A", {8, 8});
-  Prog.addArray("T", {16}, /*Transient=*/true);
-  DataEnv Fresh(Prog);
-  Fresh.initDeterministic(3);
-
-  DataEnv Reused(Prog);
-  Reused.initDeterministic(9); // different pattern
-  Reused.buffer("T")[5] = 42.0; // dirty transient state
-  ASSERT_TRUE(Reused.resetFor(Prog, 3));
-  EXPECT_EQ(Reused.buffer("A"), Fresh.buffer("A"));
-  EXPECT_EQ(Reused.buffer("T"), Fresh.buffer("T"));
-
-  // Any declaration mismatch refuses the reuse.
-  Program Other("q");
-  Other.addArray("A", {8, 8});
-  Other.addArray("T", {17}, /*Transient=*/true);
-  EXPECT_FALSE(Reused.resetFor(Other, 3));
-  Program Renamed("r");
-  Renamed.addArray("A", {8, 8});
-  Renamed.addArray("U", {16}, /*Transient=*/true);
-  EXPECT_FALSE(Reused.resetFor(Renamed, 3));
 }

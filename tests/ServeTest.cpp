@@ -511,7 +511,7 @@ namespace {
 /// Kind here, and the static_assert turns "forgot to update the
 /// handlers" into a compile error instead of a silent fall-through.
 const char *kindName(RunStatus::Kind K) {
-  static_assert(RunStatus::NumKinds_ == 7,
+  static_assert(RunStatus::NumKinds_ == 6,
                 "new RunStatus::Kind: update kindName, the serving "
                 "runtime's status switches, and the README taxonomy");
   switch (K) {
@@ -525,8 +525,6 @@ const char *kindName(RunStatus::Kind K) {
     return "shut-down";
   case RunStatus::Expired:
     return "expired";
-  case RunStatus::ResourceExhausted:
-    return "resource-exhausted";
   case RunStatus::Faulted:
     return "faulted";
   case RunStatus::NumKinds_:
@@ -546,8 +544,6 @@ TEST(RunStatusKindTest, EveryKindIsHandledAndFactoriesTagCorrectly) {
   EXPECT_EQ(RunStatus::shutDown().Why, RunStatus::ShutDown);
   EXPECT_EQ(RunStatus::expired().Why, RunStatus::Expired);
   EXPECT_FALSE(RunStatus::expired().ok());
-  EXPECT_EQ(RunStatus::resourceExhausted().Why, RunStatus::ResourceExhausted);
-  EXPECT_FALSE(RunStatus::resourceExhausted().ok());
   EXPECT_EQ(RunStatus::faulted("kernel fault").Why, RunStatus::Faulted);
   EXPECT_FALSE(RunStatus::faulted("kernel fault").ok());
   EXPECT_NE(RunStatus::faulted("kernel fault").Error.find("kernel fault"),
@@ -1234,15 +1230,13 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersEngineAndTenants) {
   ServerOptions Options;
   Options.Workers = 2;
   Options.QueueCapacity = 32;
-  Options.Engine.MemoryBudgetBytes = 64ull << 20;
   Server S(Options);
 
-  // A fresh server is healthy and idle, and its engine holds nothing.
+  // A fresh server is healthy and idle.
   HealthSnapshot Fresh = S.health();
   EXPECT_TRUE(Fresh.healthy());
   EXPECT_EQ(Fresh.QueueDepth, 0u);
   EXPECT_EQ(Fresh.QueueCapacity, 32u);
-  EXPECT_EQ(Fresh.BudgetUsedBytes, 0u);
   EXPECT_EQ(Fresh.Submitted, 0);
 
   Program Small = makeGemm("i", "j", "k", 8);
@@ -1265,14 +1259,9 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersEngineAndTenants) {
   EXPECT_EQ(H.Submitted, H.Completed + H.Rejected + H.Expired);
   EXPECT_EQ(H.Quarantined, 0u);
   EXPECT_GE(H.P99Us, H.P50Us);
-  // The engine's self-protection vitals: budget accounting (the compiled
-  // kernel is charged) and checkpoint lineage (no DatabasePath here, so
-  // generation stays 0).
+  // The engine's checkpoint lineage: no DatabasePath here, so the
+  // generation stays 0.
   EXPECT_EQ(H.CheckpointGeneration, 0u);
-  EXPECT_EQ(H.BudgetLimitBytes, 64ull << 20);
-  EXPECT_GT(H.BudgetUsedBytes, 0u);
-  EXPECT_LE(H.BudgetUsedBytes, H.BudgetPeakBytes);
-  EXPECT_EQ(H.BudgetUsedBytes, S.engine().memoryBytesUsed());
   // Tenant rows mirror the per-tenant counters, sorted by id.
   ASSERT_EQ(H.Tenants.size(), 3u);
   for (size_t T = 0; T < H.Tenants.size(); ++T) {
