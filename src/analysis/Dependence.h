@@ -25,8 +25,11 @@
 /// into the constant) before testing any pair. The pair tests then run on
 /// integers only. A query that needs the dependences of one nest several
 /// times takes them precomputed: the overloads of isPermutationLegal,
-/// parallelizableLoops and isReductionLoop in analysis/Legality.h accept
-/// the result of one call.
+/// parallelizableLoops and isReductionLoop in analysis/Legality.h,
+/// embedNest in sched/Embedding.h and parallelizeOutermost in
+/// transform/Parallelize.h accept the result of one call. The daisy
+/// scheduler analyzes each normalized nest once for its transfer lookup
+/// and the default recipe's parallelization together.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -306,10 +306,9 @@ bool TraceRecorder::dumpTrace(const std::string &Path) const {
 // DAISY_TRACE environment hook
 //===----------------------------------------------------------------------===//
 //
-// Mirrors the DAISY_FAILPOINTS idiom (support/FailPoint.cpp): a static
-// initializer in this translation unit arms the recorder before main()
-// when the environment asks for it, and an atexit handler writes the
-// Chrome JSON on the way out. The hook lives here so any binary linking
+// A static initializer in this translation unit arms the recorder before
+// main() when the environment asks for it, and an atexit handler writes
+// the Chrome JSON on the way out. The hook lives here so any binary linking
 // the obs layer — every bench, test, and example links the library — is
 // flight-recordable with zero code changes:
 //

@@ -35,6 +35,12 @@ std::string PerformanceEmbedding::toString() const {
 
 PerformanceEmbedding daisy::embedNest(const NodePtr &Root,
                                       const Program &Prog) {
+  return embedNest(Root, Prog, computeDependences(Root, Prog.params()));
+}
+
+PerformanceEmbedding daisy::embedNest(const NodePtr &Root,
+                                      const Program &Prog,
+                                      const std::vector<Dependence> &Deps) {
   PerformanceEmbedding E;
   std::vector<StmtInfo> Stmts = collectStatements(Root);
   if (Stmts.empty())
@@ -99,7 +105,6 @@ PerformanceEmbedding daisy::embedNest(const NodePtr &Root,
   }
 
   // One analysis serves the parallel fraction and the reduction flag.
-  std::vector<Dependence> Deps = computeDependences(Root, Prog.params());
   auto Parallel = parallelizableLoops(Root, Deps);
   auto Loops = collectLoops(Root);
   double ParallelFrac =

@@ -16,6 +16,7 @@
 #ifndef DAISY_SCHED_EMBEDDING_H
 #define DAISY_SCHED_EMBEDDING_H
 
+#include "analysis/Dependence.h"
 #include "ir/Program.h"
 
 #include <array>
@@ -36,6 +37,14 @@ struct PerformanceEmbedding {
 
 /// Computes the embedding of nest \p Root within \p Prog.
 PerformanceEmbedding embedNest(const NodePtr &Root, const Program &Prog);
+
+/// The same embedding over \p Deps, which must be computeDependences(Root,
+/// Prog.params()): the parallel-fraction and reduction features read the
+/// nest's dependences, so a caller that also parallelizes the nest
+/// (DaisyScheduler::schedule) analyzes it once. The two-argument overload
+/// delegates here.
+PerformanceEmbedding embedNest(const NodePtr &Root, const Program &Prog,
+                               const std::vector<Dependence> &Deps);
 
 } // namespace daisy
 

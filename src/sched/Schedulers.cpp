@@ -66,6 +66,14 @@ std::optional<Program> PollyScheduler::schedule(const Program &Prog) {
 
 namespace {
 
+/// True if \p R is Recipe::defaultParallelRecipe(): parallelize, then
+/// vectorize.
+bool isDefaultParallelRecipe(const Recipe &R) {
+  return R.Steps.size() == 2 &&
+         R.Steps[0].StepKind == RecipeStep::Kind::ParallelizeOutermost &&
+         R.Steps[1].StepKind == RecipeStep::Kind::VectorizeInnermost;
+}
+
 /// Tiramisu adapter applicability: the nest must be a perfect,
 /// rectangular band with at least one parallelizable loop and no lifting
 /// barrier.
@@ -158,12 +166,21 @@ std::optional<Program> DaisyScheduler::schedule(const Program &Prog) {
       continue;
     }
     // Transfer tuning: nearest database recipe, legality-checked apply.
+    // One dependence analysis serves the lookup's embedding and the
+    // default recipe's parallelization.
+    std::vector<Dependence> Deps = computeDependences(Node, Result.params());
     const DatabaseEntry *Entry =
-        Db ? Db->lookup(embedNest(Node, Result), structuralHash(Node),
+        Db ? Db->lookup(embedNest(Node, Result, Deps), structuralHash(Node),
                         Options.MaxTransferDistance)
            : nullptr;
-    Recipe R = Entry ? Entry->Optimization : Recipe::defaultParallelRecipe();
-    Node = applyRecipe(R, Node, Result);
+    if (Entry && !isDefaultParallelRecipe(Entry->Optimization)) {
+      Node = applyRecipe(Entry->Optimization, Node, Result);
+      continue;
+    }
+    // The default recipe only marks loops, so it marks Node in place
+    // (Result owns it) where applyRecipe would mark a copy.
+    parallelizeOutermost(Node, Deps, Result.params(), &Result);
+    vectorizeInnermostUnitStride(Node, Result);
   }
   return Result;
 }

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -167,39 +166,5 @@ size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed) {
   }
   return Armed;
 }
-
-size_t armFailPointsFromEnv(const char *Spec, const char *SeedText) {
-  if (!Spec || !*Spec)
-    return 0;
-  uint64_t Seed = 0xDA15Eull;
-  if (SeedText)
-    Seed = std::strtoull(SeedText, nullptr, 10);
-  try {
-    return armFailPointsFromSpec(Spec, Seed);
-  } catch (const std::invalid_argument &E) {
-    std::fprintf(stderr, "daisy: ignoring DAISY_FAILPOINTS: %s\n", E.what());
-  }
-  return 0;
-}
-
-namespace {
-
-/// Environment arming: DAISY_FAILPOINTS holds a spec-grammar scenario
-/// armed for the whole process before main() runs, seeded from
-/// DAISY_FAILPOINTS_SEED (decimal, default 0xDA15E). This arms sites a
-/// binary does not arm itself, such as a fault under an example or a
-/// bench. Sites never marked by the running code cost nothing; a
-/// malformed spec is reported and ignored rather than aborting the
-/// process it was meant to observe (armFailPointsFromEnv, which tests
-/// exercise directly).
-struct EnvScenario {
-  EnvScenario() {
-    (void)armFailPointsFromEnv(std::getenv("DAISY_FAILPOINTS"),
-                               std::getenv("DAISY_FAILPOINTS_SEED"));
-  }
-};
-const EnvScenario ArmFromEnv;
-
-} // namespace
 
 } // namespace daisy

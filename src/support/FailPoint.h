@@ -25,12 +25,10 @@
 ///   - Delay:   the evaluation sleeps DelayMicros then returns false
 ///     (slow kernel, stalled worker).
 ///
-/// Arming can also come from the environment: when the process starts
-/// with DAISY_FAILPOINTS=<spec> set (same grammar as
-/// armFailPointsFromSpec, e.g. "kernel.run=trigger@0.25"), the scenario
-/// is armed process-wide before main(), seeded from
-/// DAISY_FAILPOINTS_SEED. This drives a site a binary does not arm
-/// itself, without rebuilding it.
+/// Only a call in the running binary arms a site: armFailPoint,
+/// armFailPointsFromSpec, or a serve/FaultInjector.h scenario. The
+/// environment cannot arm one; DAISY_FAILPOINTS_SEED only overrides a
+/// scenario's seed (FaultInjector::seedFromEnv).
 ///
 /// Fail points are compiled into every build, so the tests that arm them
 /// run in Release too. An unarmed site costs an out-of-line call to
@@ -92,15 +90,6 @@ bool failPointEvaluate(const char *Site);
 /// Returns the number of sites armed; throws std::invalid_argument on a
 /// malformed spec.
 size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed);
-
-/// The environment-arming entry behind DAISY_FAILPOINTS, exposed so the
-/// parsing contract is testable without spawning a process: \p Spec is
-/// the spec string (null or empty = no-op), \p SeedText the decimal
-/// scenario seed (null = the default 0xDA15E). A malformed spec is
-/// reported to stderr and ignored — the process it was meant to observe
-/// keeps running — with any sites armed before the malformed entry left
-/// armed. Returns the number of sites armed.
-size_t armFailPointsFromEnv(const char *Spec, const char *SeedText);
 
 #define DAISY_FAILPOINT(Site) ::daisy::failPointEvaluate(Site)
 

@@ -59,28 +59,25 @@ void scanScalarUses(const std::vector<NodePtr> &Body,
   }
 }
 
-/// Number of accesses (reads + writes) to array \p Name under \p Root.
-int countAccesses(const NodePtr &Root, const std::string &Name) {
-  int Count = 0;
-  for (const auto &C : collectComputations(Root)) {
-    if (C->write().Array == Name)
-      ++Count;
-    forEachRead(*C, [&](const ArrayAccess &R) { Count += R.Array == Name; });
+/// Adds \p Delta to \p Counts[A] for every access (read or write) under
+/// \p Node of an array A that \p Counts holds.
+void tallyAccesses(const NodePtr &Node, std::map<std::string, int> &Counts,
+                   int Delta) {
+  if (Node->kind() == NodeKind::Loop) {
+    for (const NodePtr &Child : static_cast<const Loop &>(*Node).body())
+      tallyAccesses(Child, Counts, Delta);
+    return;
   }
-  return Count;
-}
-
-/// True if the scalar \p Name is accessed outside \p Inside within
-/// \p Prog. Comparison is count-based because transformation passes work
-/// on clones whose computations are distinct objects from the program's:
-/// if the program contains exactly as many accesses as \p Inside, all of
-/// them are the loop's own.
-bool scalarEscapes(const Program &Prog, const NodePtr &Inside,
-                   const std::string &Name) {
-  int ProgramAccesses = 0;
-  for (const NodePtr &Top : Prog.topLevel())
-    ProgramAccesses += countAccesses(Top, Name);
-  return ProgramAccesses != countAccesses(Inside, Name);
+  const auto *C = dynCast<Computation>(Node);
+  if (!C)
+    return;
+  auto Note = [&](const ArrayAccess &A) {
+    auto It = Counts.find(A.Array);
+    if (It != Counts.end())
+      It->second += Delta;
+  };
+  Note(C->write());
+  forEachRead(*C, Note);
 }
 
 /// What contraction's one walk learns about a transient.
@@ -255,7 +252,9 @@ std::shared_ptr<Loop> daisy::expandScalars(const std::shared_ptr<Loop> &L,
   std::map<std::string, ScalarUsage> Usage;
   scanScalarUses(L->body(), Usage);
 
-  std::shared_ptr<Loop> Current = L;
+  // Each candidate's accesses outside L: one walk of the program counts
+  // them all, one walk of L takes L's own away.
+  std::map<std::string, int> Outside;
   for (const auto &[Name, U] : Usage) {
     if (U.FirstWriteItem < 0 || U.FirstReadItem < 0)
       continue; // written-only or read-only: no cross-group glue
@@ -269,8 +268,18 @@ std::shared_ptr<Loop> daisy::expandScalars(const std::shared_ptr<Loop> &L,
       continue; // not a scalar
     if (!Decl->Transient)
       continue; // observable output: its final value must survive
-    if (scalarEscapes(Prog, Current, Name))
-      continue;
+    Outside[Name] = 0;
+  }
+  if (Outside.empty())
+    return L;
+  for (const NodePtr &Top : Prog.topLevel())
+    tallyAccesses(Top, Outside, 1);
+  tallyAccesses(L, Outside, -1);
+
+  std::shared_ptr<Loop> Current = L;
+  for (const auto &[Name, Count] : Outside) {
+    if (Count != 0)
+      continue; // accessed outside L: its value must survive the loop
 
     std::string Expanded = Prog.freshArrayName(Name + "_x");
     Prog.addArray(Expanded, {Hi - Lo}, /*Transient=*/true);
@@ -282,7 +291,7 @@ std::shared_ptr<Loop> daisy::expandScalars(const std::shared_ptr<Loop> &L,
 }
 
 std::vector<NodePtr>
-daisy::distributeLoop(const std::shared_ptr<Loop> &L,
+daisy::distributeLoop(Loop &L,
                       const std::vector<std::vector<size_t>> &Groups) {
   std::vector<NodePtr> Result;
   Result.reserve(Groups.size());
@@ -290,16 +299,18 @@ daisy::distributeLoop(const std::shared_ptr<Loop> &L,
     std::vector<NodePtr> Body;
     Body.reserve(Group.size());
     for (size_t Item : Group) {
-      assert(Item < L->body().size() && "group index out of range");
-      Body.push_back(L->body()[Item]->clone());
+      assert(Item < L.body().size() && L.body()[Item] &&
+             "group index out of range or repeated");
+      Body.push_back(std::move(L.body()[Item]));
     }
-    auto Copy = std::make_shared<Loop>(L->iterator(), L->lower(), L->upper(),
-                                       std::move(Body), L->step());
-    Copy->setParallel(L->isParallel());
-    Copy->setVectorized(L->isVectorized());
-    Copy->setAtomicReduction(L->usesAtomicReduction());
-    Copy->setOpaque(L->isOpaque());
-    Result.push_back(Copy);
+    auto Piece = std::make_shared<Loop>(L.iterator(), L.lower(), L.upper(),
+                                        std::move(Body), L.step());
+    Piece->setParallel(L.isParallel());
+    Piece->setVectorized(L.isVectorized());
+    Piece->setAtomicReduction(L.usesAtomicReduction());
+    Piece->setOpaque(L.isOpaque());
+    Result.push_back(std::move(Piece));
   }
+  L.body().clear();
   return Result;
 }

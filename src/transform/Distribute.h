@@ -40,6 +40,11 @@ namespace daisy {
 /// accessed anywhere outside \p L in \p Prog. New arrays are registered on
 /// \p Prog as transient. Returns the rewritten loop (or the original
 /// pointer if nothing changed).
+///
+/// Condition (d) is count-based: one walk of \p Prog and one of \p L
+/// count every candidate's accesses, and a scalar escapes when the
+/// program holds more of them than \p L. \p Prog must therefore hold
+/// \p L's accesses once, as \p L itself or as a copy of it.
 std::shared_ptr<Loop> expandScalars(const std::shared_ptr<Loop> &L,
                                     Program &Prog);
 
@@ -80,11 +85,11 @@ struct ContractionStats {
 ContractionStats contractTransients(Program &Prog);
 
 /// Distributes \p L into one loop per entry of \p Groups (body-item index
-/// lists, as produced by distributionGroups). Returns the replacement
-/// sequence.
+/// lists, as produced by distributionGroups, each item in exactly one
+/// group). Returns the replacement sequence. The pieces take \p L's body
+/// items without copying them, so \p L is left with an empty body.
 std::vector<NodePtr>
-distributeLoop(const std::shared_ptr<Loop> &L,
-               const std::vector<std::vector<size_t>> &Groups);
+distributeLoop(Loop &L, const std::vector<std::vector<size_t>> &Groups);
 
 } // namespace daisy
 

@@ -32,7 +32,15 @@ double instancesUnder(const NodePtr &Node, const ValueEnv &Params) {
 
 bool daisy::parallelizeOutermost(const NodePtr &Root, const ValueEnv &Params,
                                  const Program *Prog) {
-  auto Parallel = parallelizableLoops(Root, Params, Prog);
+  return parallelizeOutermost(Root, computeDependences(Root, Params), Params,
+                              Prog);
+}
+
+bool daisy::parallelizeOutermost(const NodePtr &Root,
+                                 const std::vector<Dependence> &Deps,
+                                 const ValueEnv &Params,
+                                 const Program *Prog) {
+  auto Parallel = parallelizableLoops(Root, Deps, Prog);
   bool Marked = false;
   // Pre-order: the first parallelizable loop on each path is outermost.
   // A profitability guard skips regions too small to amortize the

@@ -13,6 +13,7 @@
 #ifndef DAISY_TRANSFORM_PARALLELIZE_H
 #define DAISY_TRANSFORM_PARALLELIZE_H
 
+#include "analysis/Dependence.h"
 #include "ir/Program.h"
 
 namespace daisy {
@@ -21,6 +22,17 @@ namespace daisy {
 /// When \p Prog is provided, privatizable transients are discounted as an
 /// OpenMP-style parallelizer would. Returns true if a loop was marked.
 bool parallelizeOutermost(const NodePtr &Root, const ValueEnv &Params,
+                          const Program *Prog = nullptr);
+
+/// The same marking over \p Deps, which must be computeDependences(Root,
+/// Params): a caller that has already analyzed the nest (the transfer
+/// lookup's embedNest in DaisyScheduler::schedule) does not analyze it
+/// again. Marking leaves the dependences as they are, so \p Deps stays
+/// valid across marks; a restructuring transform (permute, tile)
+/// invalidates it. The overload without \p Deps delegates here.
+bool parallelizeOutermost(const NodePtr &Root,
+                          const std::vector<Dependence> &Deps,
+                          const ValueEnv &Params,
                           const Program *Prog = nullptr);
 
 /// Marks the outermost loop parallel with atomic updates if it carries

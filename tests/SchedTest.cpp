@@ -4,8 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Legality.h"
+#include "cloudsc/Cloudsc.h"
 #include "exec/Interpreter.h"
+#include "frontends/PolyBench.h"
 #include "ir/Builder.h"
+#include "ir/Printer.h"
 #include "normalize/Pipeline.h"
 #include "sched/Evaluator.h"
 #include "sched/FrameworkModels.h"
@@ -13,6 +17,7 @@
 #include "sched/Idiom.h"
 #include "sched/Schedulers.h"
 #include "support/Statistics.h"
+#include "transform/Parallelize.h"
 
 #include <gtest/gtest.h>
 
@@ -663,6 +668,168 @@ TEST(SchedulerTest, SeededDatabaseTransfersToBVariant) {
   double TimeB = simulateProgram(*SchedB, Options).Seconds;
   // Robustness: A and B runtimes must be near-identical.
   EXPECT_NEAR(TimeA, TimeB, 0.15 * TimeA);
+}
+
+//===----------------------------------------------------------------------===//
+// DaisyScheduler against its layers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The 45 PolyBench programs and the three CLOUDSC variants.
+std::vector<Program> schedulingCorpus() {
+  std::vector<Program> Corpus;
+  for (PolyBenchKernel Kernel : allPolyBenchKernels())
+    for (VariantKind V :
+         {VariantKind::A, VariantKind::B, VariantKind::NPBench})
+      Corpus.push_back(buildPolyBench(Kernel, V));
+  for (CloudscVariant V :
+       {CloudscVariant::Fortran, CloudscVariant::C, CloudscVariant::DaCe})
+    Corpus.push_back(buildCloudsc(CloudscConfig(), V));
+  return Corpus;
+}
+
+/// How the transfer lookups of scheduleByLayer resolved.
+struct TransferCounts {
+  int ExactDefault = 0, ExactRestructuring = 0;
+  int NearestDefault = 0, NearestRestructuring = 0;
+  int Miss = 0;
+};
+
+/// DaisyScheduler::schedule composed of its public layer calls: normalize,
+/// detectBlasIdiom, lookup(embedNest(Node, Prog)), applyRecipe. Each layer
+/// analyzes the nest itself.
+Program scheduleByLayer(const Program &Prog,
+                        const TransferTuningDatabase &Db,
+                        TransferCounts &Counts) {
+  const DaisyOptions Options;
+  const std::string Default = Recipe::defaultParallelRecipe().toString();
+  Program Result = normalize(Prog);
+  for (NodePtr &Node : Result.topLevel()) {
+    if (Node->kind() != NodeKind::Loop)
+      continue;
+    if (dynCast<Loop>(Node)->isOpaque()) {
+      parallelizeWithAtomics(Node, Result.params(), &Result);
+      continue;
+    }
+    if (auto Match = detectBlasIdiom(Node, Result, Options.Idioms)) {
+      Node = Match->Call;
+      continue;
+    }
+    uint64_t Hash = structuralHash(Node);
+    const DatabaseEntry *Entry = Db.lookup(embedNest(Node, Result), Hash,
+                                           Options.MaxTransferDistance);
+    if (!Entry) {
+      ++Counts.Miss;
+    } else {
+      bool IsDefault = Entry->Optimization.toString() == Default;
+      if (Entry->CanonicalHash == Hash)
+        ++(IsDefault ? Counts.ExactDefault : Counts.ExactRestructuring);
+      else
+        ++(IsDefault ? Counts.NearestDefault : Counts.NearestRestructuring);
+    }
+    Node = applyRecipe(Entry ? Entry->Optimization
+                             : Recipe::defaultParallelRecipe(),
+                       Node, Result);
+  }
+  return Result;
+}
+
+/// Expects DaisyScheduler::schedule to give scheduleByLayer's program on
+/// every corpus program.
+TransferCounts
+expectSchedulerMatchesLayers(const std::vector<Program> &Corpus,
+                             const std::shared_ptr<TransferTuningDatabase> &Db) {
+  TransferCounts Counts;
+  DaisyScheduler Daisy(Db);
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    SCOPED_TRACE("corpus program " + std::to_string(I) + " (" +
+                 Corpus[I].name() + ")");
+    std::optional<Program> Scheduled = Daisy.schedule(Corpus[I]);
+    EXPECT_TRUE(Scheduled.has_value());
+    if (!Scheduled)
+      continue;
+    Program ByLayer = scheduleByLayer(Corpus[I], *Db, Counts);
+    EXPECT_EQ(structuralHashWithMarks(*Scheduled),
+              structuralHashWithMarks(ByLayer));
+    EXPECT_EQ(printProgram(*Scheduled), printProgram(ByLayer));
+  }
+  return Counts;
+}
+
+} // namespace
+
+TEST(SchedulerTest, DaisyMatchesItsLayersOnAnEmptyDatabase) {
+  TransferCounts Counts = expectSchedulerMatchesLayers(
+      schedulingCorpus(), std::make_shared<TransferTuningDatabase>());
+  EXPECT_GT(Counts.Miss, 0);
+}
+
+TEST(SchedulerTest, DaisyMatchesItsLayersOnTransferredRecipes) {
+  // A small database keyed by corpus nests: exact-hash and nearest hits,
+  // each applying the default recipe (marks in place) or a restructuring
+  // one (applyRecipe).
+  std::vector<Program> Corpus = schedulingCorpus();
+  std::vector<std::pair<NodePtr, Program>> Nests;
+  for (const Program &Prog : Corpus) {
+    Program Norm = normalize(Prog);
+    for (const NodePtr &Node : Norm.topLevel())
+      if (Node->kind() == NodeKind::Loop && !dynCast<Loop>(Node)->isOpaque() &&
+          !detectBlasIdiom(Node, Norm, DaisyOptions().Idioms) &&
+          perfectNestBand(Node).size() >= 2)
+        Nests.push_back({Node, Norm});
+  }
+  ASSERT_GE(Nests.size(), 40u);
+
+  Recipe Tiled;
+  Tiled.Steps.resize(3);
+  Tiled.Steps[0].StepKind = RecipeStep::Kind::Tile;
+  Tiled.Steps[0].Tiles = {4, 4};
+  Tiled.Steps[1].StepKind = RecipeStep::Kind::ParallelizeOutermost;
+  Tiled.Steps[2].StepKind = RecipeStep::Kind::VectorizeInnermost;
+  Recipe Swapped;
+  Swapped.Steps.resize(2);
+  Swapped.Steps[0].StepKind = RecipeStep::Kind::Permute;
+  Swapped.Steps[0].Perm = {1, 0};
+  Swapped.Steps[1].StepKind = RecipeStep::Kind::ParallelizeOutermost;
+
+  auto Db = std::make_shared<TransferTuningDatabase>();
+  auto Add = [&](size_t Nest, bool Exact, const Recipe &R) {
+    const auto &[Node, Norm] = Nests[Nest];
+    DatabaseEntry Entry;
+    Entry.Name = "nest" + std::to_string(Nest);
+    // Hash 0 keys no corpus nest, so that entry serves only nearest hits.
+    Entry.CanonicalHash = Exact ? structuralHash(Node) : 0;
+    Entry.Embedding = embedNest(Node, Norm);
+    Entry.Optimization = R;
+    Db->insert(std::move(Entry));
+  };
+  Add(0, /*Exact=*/true, Tiled);
+  Add(Nests.size() / 4, /*Exact=*/true, Recipe::defaultParallelRecipe());
+  Add(Nests.size() / 2, /*Exact=*/false, Swapped);
+  Add(3 * Nests.size() / 4, /*Exact=*/false, Recipe::defaultParallelRecipe());
+
+  TransferCounts Counts = expectSchedulerMatchesLayers(Corpus, Db);
+  EXPECT_GT(Counts.ExactDefault, 0);
+  EXPECT_GT(Counts.ExactRestructuring, 0);
+  EXPECT_GT(Counts.NearestDefault, 0);
+  EXPECT_GT(Counts.NearestRestructuring, 0);
+}
+
+TEST(EmbeddingTest, PrecomputedDependencesGiveTheSameEmbedding) {
+  for (const Program &Prog : schedulingCorpus()) {
+    Program Norm = normalize(Prog);
+    for (const NodePtr &Node : Norm.topLevel()) {
+      if (Node->kind() != NodeKind::Loop)
+        continue;
+      PerformanceEmbedding Own = embedNest(Node, Norm);
+      PerformanceEmbedding Shared = embedNest(
+          Node, Norm, computeDependences(Node, Norm.params()));
+      for (size_t F = 0; F < PerformanceEmbedding::Size; ++F)
+        EXPECT_EQ(Own.Features[F], Shared.Features[F])
+            << Prog.name() << " feature " << F;
+    }
+  }
 }
 
 TEST(FrameworkModelTest, AllPreserveSemantics) {

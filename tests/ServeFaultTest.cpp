@@ -26,9 +26,8 @@
 //   the plan (Engine.QuarantineReroutes), and a half-open probe
 //   re-closes the breaker once faults stop; kernels without a breaker
 //   (raw Kernel::compile) surface RunStatus::Faulted instead;
-// - env arming robustness: armFailPointsFromEnv (the DAISY_FAILPOINTS
-//   entry) ignores malformed specs instead of aborting, and its seed
-//   text reproduces the exact spec-armed fault schedule.
+// - seeded schedules: armFailPointsFromSpec under one seed reproduces
+//   the exact fault schedule, and another seed draws another one.
 //
 // ctest runs this binary at its default seed, and as the fault matrix
 // ServeFaultTest_seed<1-3> (DAISY_FAILPOINTS_SEED).
@@ -458,44 +457,17 @@ TEST(FailPointTest, SpecGrammarParsesAndRejects) {
   disarmAllFailPoints();
 }
 
-TEST(FailPointTest, EnvArmingIsANoOpOnNullOrEmpty) {
-  EXPECT_EQ(armFailPointsFromEnv(nullptr, nullptr), 0u);
-  EXPECT_EQ(armFailPointsFromEnv("", nullptr), 0u);
-  EXPECT_EQ(armFailPointsFromEnv("", "123"), 0u);
-}
-
-TEST(FailPointTest, EnvArmingIgnoresMalformedSpecsInsteadOfAborting) {
-  // A malformed DAISY_FAILPOINTS must never take down the process it was
-  // meant to observe: warned (stderr) and ignored, not thrown.
-  EXPECT_EQ(armFailPointsFromEnv("nonsense", nullptr), 0u);
-  EXPECT_EQ(armFailPointsFromEnv("x=explode", nullptr), 0u);
-  // Sites armed before the malformed entry stay armed.
-  EXPECT_EQ(armFailPointsFromEnv("env.early=trigger@1.0;broken", nullptr),
-            0u);
-  EXPECT_TRUE(DAISY_FAILPOINT("env.early"));
-  disarmAllFailPoints();
-}
-
-TEST(FailPointTest, EnvSeedTextRoundTripsTheFaultSchedule) {
-  auto pattern = [](const char *SeedText) {
+TEST(FailPointTest, SpecSeedSelectsTheFaultSchedule) {
+  auto pattern = [](uint64_t Seed) {
     disarmAllFailPoints();
-    EXPECT_EQ(armFailPointsFromEnv("env.seeded=trigger@0.5", SeedText), 1u);
+    EXPECT_EQ(armFailPointsFromSpec("spec.seeded=trigger@0.5", Seed), 1u);
     std::vector<char> Fired;
     for (int I = 0; I < 64; ++I)
-      Fired.push_back(DAISY_FAILPOINT("env.seeded") ? 1 : 0);
+      Fired.push_back(DAISY_FAILPOINT("spec.seeded") ? 1 : 0);
     return Fired;
   };
-  // The decimal seed text selects the stream, reproducibly.
-  EXPECT_EQ(pattern("7"), pattern("7"));
-  EXPECT_NE(pattern("7"), pattern("8"));
-  // Null seed text draws the documented default stream (0xDA15E), the
-  // same one spec arming under that seed draws.
-  std::vector<char> Defaulted = pattern(nullptr);
-  disarmAllFailPoints();
-  ASSERT_EQ(armFailPointsFromSpec("env.seeded=trigger@0.5", DefaultSeed), 1u);
-  std::vector<char> Spec;
-  for (int I = 0; I < 64; ++I)
-    Spec.push_back(DAISY_FAILPOINT("env.seeded") ? 1 : 0);
-  EXPECT_EQ(Defaulted, Spec);
+  // The seed selects the stream, reproducibly.
+  EXPECT_EQ(pattern(7), pattern(7));
+  EXPECT_NE(pattern(7), pattern(8));
   disarmAllFailPoints();
 }

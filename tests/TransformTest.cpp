@@ -217,7 +217,20 @@ TEST(DistributeTest, FissionAfterExpansionPreservesSemantics) {
   auto Expanded = expandScalars(L, Fissioned);
   auto Groups = distributionGroups(*Expanded, Fissioned.params());
   ASSERT_EQ(Groups.size(), 2u); // scalar expansion unlocked the split
-  std::vector<NodePtr> Pieces = distributeLoop(Expanded, Groups);
+  std::vector<NodePtr> Items = Expanded->body();
+  std::vector<NodePtr> Pieces = distributeLoop(*Expanded, Groups);
+  // The pieces hold the loop's own items, in group order; nothing is
+  // copied, and the distributed loop is left empty.
+  EXPECT_TRUE(Expanded->body().empty());
+  std::vector<NodePtr> Moved;
+  for (const NodePtr &Piece : Pieces)
+    for (const NodePtr &Item : std::static_pointer_cast<Loop>(Piece)->body())
+      Moved.push_back(Item);
+  std::vector<NodePtr> Expected;
+  for (const std::vector<size_t> &Group : Groups)
+    for (size_t Item : Group)
+      Expected.push_back(Items[Item]);
+  EXPECT_EQ(Moved, Expected);
   Fissioned.topLevel().erase(Fissioned.topLevel().begin());
   for (size_t I = 0; I < Pieces.size(); ++I)
     Fissioned.topLevel().insert(
