@@ -260,7 +260,6 @@ Kernel Engine::buildKernel(const Program &Prog, const PlanOptions &Options) {
     if (Tuner) {
       ProfileOptions PO;
       PO.SampleEvery = Opts.OnlineTuning.SampleEvery;
-      PO.RingSize = Opts.OnlineTuning.RingSize;
       Impl->attachProfile(std::make_shared<KernelProfile>(PO));
     }
   } catch (...) {

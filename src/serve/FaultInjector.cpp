@@ -11,23 +11,10 @@
 using namespace daisy;
 using namespace daisy::serve;
 
+// Teardown disarms exactly the sites this scenario armed, even when
+// another injector is live in an outer scope.
 FaultInjector::FaultInjector(const std::string &Spec, uint64_t Seed)
-    : Seed(Seed) {
-  // armFailPointsFromSpec validates and arms; the site names (everything
-  // before each '=') are recorded here so teardown disarms exactly this
-  // scenario, even when another injector is live in an outer scope.
-  (void)armFailPointsFromSpec(Spec, Seed);
-  size_t Pos = 0;
-  while (Pos < Spec.size()) {
-    size_t End = Spec.find(';', Pos);
-    std::string Entry = Spec.substr(
-        Pos, End == std::string::npos ? std::string::npos : End - Pos);
-    Pos = End == std::string::npos ? Spec.size() : End + 1;
-    size_t Eq = Entry.find('=');
-    if (Eq != std::string::npos && Eq > 0)
-      Sites.push_back(Entry.substr(0, Eq));
-  }
-}
+    : Seed(Seed), Sites(armFailPointsFromSpec(Spec, Seed)) {}
 
 FaultInjector::~FaultInjector() {
   for (const std::string &Site : Sites)

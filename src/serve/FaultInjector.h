@@ -11,7 +11,7 @@
 /// disarms exactly those sites on destruction, so a test that throws or
 /// early-returns can never leak an armed fault into the next test.
 ///
-/// The serving runtime currently marks six sites:
+/// The serving runtime currently marks five sites:
 ///
 ///   "engine.compile"     Engine::compile plan compilation (Throw here
 ///                        exercises the tree-walk fallback);
@@ -22,9 +22,6 @@
 ///   "serve.queue.push"   Server::submit admission (Trigger forces an
 ///                        Overloaded rejection as if the queue were
 ///                        full, feeding the retry/backoff path);
-///   "serve.brownout"     the brownout gate of Server::submit (Trigger
-///                        is forced admission distress: Low-priority
-///                        requests shed as Overloaded);
 ///   "serve.worker"       top of a worker-lane dispatch (Delay stalls
 ///                        the lane between pop and run, while queued
 ///                        deadlines lapse and the other lanes carry the

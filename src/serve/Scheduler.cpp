@@ -6,7 +6,6 @@
 
 #include "serve/Scheduler.h"
 
-#include <array>
 #include <deque>
 #include <tuple>
 
@@ -202,40 +201,6 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// PriorityLane: one FIFO lane per Priority, highest first.
-//===----------------------------------------------------------------------===//
-
-class PriorityLaneScheduler final : public Scheduler {
-public:
-  using Scheduler::Scheduler;
-
-private:
-  static size_t laneOf(Priority P) {
-    size_t Lane = static_cast<size_t>(P);
-    return Lane < NumPriorityLanes ? Lane : NumPriorityLanes - 1;
-  }
-
-  void enqueueLocked(Request &&R) override {
-    Lanes[laneOf(R.Prio)].push_back(std::move(R));
-  }
-
-  void shedExpiredLocked(TimePoint Now,
-                         std::vector<Request> &Expired) override {
-    for (auto &Lane : Lanes)
-      shedExpiredFrom(Lane, Now, Expired);
-  }
-
-  Request popHeadLocked() override {
-    size_t Lane = 0;
-    while (Lanes[Lane].empty())
-      ++Lane;
-    return takeFront(Lanes[Lane]);
-  }
-
-  std::array<std::deque<Request>, NumPriorityLanes> Lanes;
-};
-
-//===----------------------------------------------------------------------===//
 // EarliestDeadlineFirst: min (Deadline, Seq) next; no-deadline requests
 // carry the noDeadline() sentinel and therefore rank after every dated
 // request, tie-broken FIFO among themselves.
@@ -351,9 +316,6 @@ std::unique_ptr<Scheduler> Scheduler::create(SchedulerPolicy Which,
   switch (Which) {
   case SchedulerPolicy::Fifo:
     return std::make_unique<FifoScheduler>(Capacity, Policy, TenantQuota);
-  case SchedulerPolicy::PriorityLane:
-    return std::make_unique<PriorityLaneScheduler>(Capacity, Policy,
-                                                   TenantQuota);
   case SchedulerPolicy::EarliestDeadlineFirst:
     return std::make_unique<EdfScheduler>(Capacity, Policy, TenantQuota);
   case SchedulerPolicy::FairShare:

@@ -16,16 +16,12 @@
 /// machinery with wake accounting, deadline bookkeeping, and the
 /// admission sequence — and delegates only the storage decisions (where
 /// a request waits, which request is served next) to virtual hooks
-/// called under the lock. Four policies exist:
+/// called under the lock. Three policies exist:
 ///
 ///   - Fifo (the default): strict admission order in one deque. No
 ///     request overtakes another, so per-request latency is fair, at the
 ///     cost of tail latency under bursts — one heavy request delays
 ///     everything behind it.
-///   - PriorityLane: one FIFO lane per Priority level, served
-///     highest-priority-first. Strict lanes can starve Low under
-///     sustained High load — that is the policy's contract, not a bug;
-///     latency-fair serving picks Fifo or EDF.
 ///   - EarliestDeadlineFirst: the queued request with the earliest
 ///     deadline is served next (no-deadline requests rank last, ties
 ///     break in admission order). Under overload this is the policy that
@@ -98,14 +94,9 @@ enum class BackpressurePolicy {
 /// Which request-ordering policy a Server's scheduler uses.
 enum class SchedulerPolicy {
   Fifo,                  ///< Strict admission order (the classic queue).
-  PriorityLane,          ///< One FIFO lane per Priority, highest first.
   EarliestDeadlineFirst, ///< Earliest deadline next; no-deadline last.
   FairShare              ///< Deficit-weighted round-robin over tenants.
 };
-
-/// Per-request urgency class. Values are lane indices: High drains first.
-enum class Priority : uint8_t { High = 0, Normal = 1, Low = 2 };
-constexpr size_t NumPriorityLanes = 3;
 
 /// The serving clock. Deadlines are absolute points on it.
 using ServeClock = std::chrono::steady_clock;
@@ -123,7 +114,6 @@ struct Request {
   Kernel K;
   BoundArgs Args;
   std::promise<RunStatus> Done;
-  Priority Prio = Priority::Normal;
   TimePoint Deadline = noDeadline();
   TimePoint EnqueuedAt{}; ///< Submit stamp; sojourn = completion - this.
   TimePoint ClaimedAt{};  ///< Worker pop stamp; queue wait = this -

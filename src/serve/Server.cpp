@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -60,8 +59,6 @@ Server::Server(ServerOptions Options)
       CExpired(statsCounterCell("Serve.Expired")),
       CRetries(statsCounterCell("Serve.SubmitRetries")),
       CDepthMax(statsCounterCell("Serve.QueueDepthMax")),
-      CBrownouts(statsCounterCell("Serve.Brownouts")),
-      CBrownoutSheds(statsCounterCell("Serve.BrownoutSheds")),
       // Flight-recorder names interned once here: the dispatch path emits
       // with resolved ids, never a map lookup.
       TnSubmit(traceNameId("serve.submit")),
@@ -69,16 +66,6 @@ Server::Server(ServerOptions Options)
       TnQueueWait(traceNameId("serve.queue_wait")),
       TnBatchWait(traceNameId("serve.batch_wait")),
       TnRun(traceNameId("serve.run")) {
-  if (Opts.BrownoutHighWater > 0.0) {
-    double Cap = static_cast<double>(std::max<size_t>(Opts.QueueCapacity, 1));
-    BrownoutHighDepth = std::max<size_t>(
-        static_cast<size_t>(std::ceil(Opts.BrownoutHighWater * Cap)), 1);
-    double Low = std::min(Opts.BrownoutLowWater, Opts.BrownoutHighWater);
-    BrownoutLowDepth = static_cast<size_t>(std::max(Low, 0.0) * Cap);
-    if (BrownoutLowDepth >= BrownoutHighDepth)
-      BrownoutLowDepth = BrownoutHighDepth - 1;
-  }
-
   Queue = Scheduler::create(Opts.Scheduling, Opts.QueueCapacity, Opts.Policy,
                             Opts.TenantQuota);
 
@@ -136,7 +123,6 @@ std::future<RunStatus> Server::submit(const Kernel &K, BoundArgs Args,
   Request R;
   R.K = K;
   R.Args = std::move(Args);
-  R.Prio = Options.Prio;
   R.Tenant = Options.Tenant;
   R.Weight = Options.Weight ? Options.Weight : 1;
   R.EnqueuedAt = serveNow();
@@ -151,21 +137,6 @@ std::future<RunStatus> Server::submit(const Kernel &K, BoundArgs Args,
     R.Done.set_value(invalidBoundArgsStatus(R.Args));
     CCompleted.fetch_add(1, std::memory_order_relaxed);
     Tenant.Completed.fetch_add(1, std::memory_order_relaxed);
-    return Result;
-  }
-
-  // Brownout: in admission distress the optional work goes first. Low
-  // priority is shed right here — before it occupies a queue slot or a
-  // retry loop — as a Rejected outcome, so the drain invariant holds and
-  // retry-with-backoff does not hammer a browned-out server (the gate is
-  // re-evaluated per submit, not per retry attempt).
-  if (brownoutGate() && R.Prio == Priority::Low) {
-    CBrownoutSheds.fetch_add(1, std::memory_order_relaxed);
-    CRejected.fetch_add(1, std::memory_order_relaxed);
-    Tenant.Rejected.fetch_add(1, std::memory_order_relaxed);
-    R.Done.set_value(RunStatus{
-        "server brownout: low-priority request shed at admission",
-        RunStatus::Overloaded});
     return Result;
   }
 
@@ -336,40 +307,10 @@ void Server::drain() {
   (void)Eng.checkpointNow();
 }
 
-bool Server::brownoutGate() {
-  // Fault site "serve.brownout": a firing Trigger is forced distress —
-  // the gate acts as if the high watermark were crossed, letting tests
-  // drive the brownout path without a real capacity storm.
-  bool Forced;
-  try {
-    Forced = DAISY_FAILPOINT("serve.brownout");
-  } catch (...) {
-    Forced = true;
-  }
-  if (BrownoutHighDepth == 0 && !Forced)
-    return false;
-  size_t Depth = queueDepth();
-  bool Active = BrownoutActive.load(std::memory_order_relaxed);
-  if (Forced || (BrownoutHighDepth != 0 && Depth >= BrownoutHighDepth)) {
-    // exchange() dedupes the episode count when submits race the entry.
-    if (!BrownoutActive.exchange(true, std::memory_order_relaxed))
-      CBrownouts.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (Active && Depth <= BrownoutLowDepth) {
-    BrownoutActive.store(false, std::memory_order_relaxed);
-    return false;
-  }
-  return Active;
-}
-
-HealthSnapshot Server::health() {
+HealthSnapshot Server::health() const {
   HealthSnapshot H;
   H.QueueDepth = queueDepth();
   H.QueueCapacity = std::max<size_t>(Opts.QueueCapacity, 1);
-  H.Brownout = brownoutGate();
-  H.Brownouts = CBrownouts.load(std::memory_order_relaxed);
-  H.BrownoutSheds = CBrownoutSheds.load(std::memory_order_relaxed);
   H.Quarantined = Eng.quarantinedCount();
   H.CheckpointGeneration = Eng.checkpointGeneration();
   if (const OnlineTuner *T = Eng.tuner()) {

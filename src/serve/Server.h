@@ -17,7 +17,7 @@
 ///   kernel, and the database persists to one checkpoint lineage at
 ///   EngineOptions::DatabasePath;
 /// - one pluggable, bounded request queue (serve/Scheduler.h) chosen by
-///   ServerOptions::Scheduling — FIFO (the default), priority lanes,
+///   ServerOptions::Scheduling — FIFO (the default),
 ///   earliest-deadline-first, or deficit-weighted FairShare over
 ///   tenants — with an explicit backpressure policy and optional
 ///   per-tenant admission quotas, so overload is a decision, not an
@@ -31,11 +31,11 @@
 ///
 /// Server::submit(kernel, boundArgs, submitOptions) returns a
 /// std::future<RunStatus>. SubmitOptions adds the robustness surface:
-/// a Priority lane, an absolute Deadline (or relative Timeout), and
-/// retry-with-backoff for transient Overloaded rejections. Work whose
-/// deadline passes is *never* dispatched — it is shed at admission or at
-/// pop time and its future completes immediately with RunStatus whose
-/// Why == RunStatus::Expired.
+/// an absolute Deadline (or relative Timeout), which is also the one
+/// urgency EDF orders by, and retry-with-backoff for transient
+/// Overloaded rejections. Work whose deadline passes is *never*
+/// dispatched — it is shed at admission or at pop time and its future
+/// completes immediately with RunStatus whose Why == RunStatus::Expired.
 ///
 /// The hot path is string-compare-free: arguments are prepared once with
 /// Kernel::bind and the workers execute on resolved slot tables. Results
@@ -120,19 +120,6 @@ struct ServerOptions {
   /// waits — even while other tenants still have headroom, so a flooding
   /// tenant sheds its *own* traffic.
   size_t TenantQuota = 0;
-  /// Admission brownout (0 disables): when the total queued depth
-  /// reaches ceil(BrownoutHighWater * QueueCapacity), the server enters
-  /// brownout — Low-priority submits are shed at admission with
-  /// RunStatus::Overloaded ("Serve.BrownoutSheds") until the depth falls
-  /// back to BrownoutLowWater * QueueCapacity. Shedding the optional
-  /// work early keeps High/Normal latency honest through a distress
-  /// episode instead of letting every lane degrade together. The
-  /// "serve.brownout" fail point forces distress deterministically.
-  double BrownoutHighWater = 0.0;
-  /// Hysteresis: brownout clears at this fraction of QueueCapacity
-  /// (clamped below BrownoutHighWater), so a depth oscillating around
-  /// the high watermark does not flap the gate per request.
-  double BrownoutLowWater = 0.5;
   /// Configuration of the server's Engine. With
   /// EngineOptions::DatabasePath set, the engine recovers its database
   /// from that path at construction and drain() checkpoints it there.
@@ -140,8 +127,7 @@ struct ServerOptions {
 };
 
 /// Structured health snapshot (Server::health): the operator's view of
-/// queue pressure, self-protection state, and durable-state progress —
-/// and the exact inputs of the admission brownout decision.
+/// queue pressure, self-protection state, and durable-state progress.
 struct HealthSnapshot {
   /// One tenant's cumulative outcome counters
   /// (Serve.Tenant<id>.{Submitted,Completed,Rejected,Expired}).
@@ -151,9 +137,6 @@ struct HealthSnapshot {
   };
   size_t QueueDepth = 0;           ///< Queued requests at snapshot time.
   size_t QueueCapacity = 0;        ///< Configured capacity.
-  bool Brownout = false;           ///< Admission currently shedding Low.
-  int64_t Brownouts = 0;           ///< Distress episodes entered so far.
-  int64_t BrownoutSheds = 0;       ///< Low requests shed at admission.
   size_t Quarantined = 0;          ///< Keys with a non-closed breaker.
   uint64_t CheckpointGeneration = 0; ///< Newest written/recovered.
   /// Online tuner view (EngineOptions::OnlineTuning; zeros when off).
@@ -165,20 +148,16 @@ struct HealthSnapshot {
   double P50Us = 0.0, P99Us = 0.0; ///< Rolling sojourn-time quantiles.
   int64_t Submitted = 0, Completed = 0, Rejected = 0, Expired = 0;
   std::vector<TenantRow> Tenants; ///< Every tenant seen so far.
-  /// The overall verdict: admission is not shedding and no kernel is
-  /// quarantined.
-  bool healthy() const { return !Brownout && Quarantined == 0; }
+  /// The overall verdict: no kernel is quarantined.
+  bool healthy() const { return Quarantined == 0; }
 };
 
-/// Per-submit scheduling and resilience knobs. Default-constructed it
-/// reproduces the PR 5 behavior exactly: Normal priority, no deadline,
-/// no retries.
+/// Per-submit scheduling and resilience knobs. Default-constructed: no
+/// deadline, no retries, tenant 0 at weight 1.
 struct SubmitOptions {
-  /// Lane under SchedulerPolicy::PriorityLane; ignored by Fifo, a
-  /// tie-break-free hint under EDF (deadlines order there).
-  Priority Prio = Priority::Normal;
   /// Absolute deadline; work not *started* by this point is shed and its
-  /// future completes with Why == RunStatus::Expired.
+  /// future completes with Why == RunStatus::Expired. It is also the
+  /// request's urgency: EarliestDeadlineFirst serves the earliest next.
   TimePoint Deadline = noDeadline();
   /// Relative convenience: when non-zero and Deadline is unset, the
   /// deadline becomes now + Timeout at submit entry.
@@ -238,12 +217,10 @@ public:
   /// The server keeps serving afterwards.
   void drain();
 
-  /// A structured health snapshot: queue depth, brownout and quarantine
-  /// state, checkpoint and tuner progress, rolling latency quantiles, and
-  /// per-tenant outcome counters. Also re-evaluates the brownout gate, so
-  /// a server whose queue drained while no submits arrived leaves
-  /// brownout on the next health() call.
-  HealthSnapshot health();
+  /// A structured health snapshot: queue depth, quarantine state,
+  /// checkpoint and tuner progress, rolling latency quantiles, and
+  /// per-tenant outcome counters. A read: it changes no server state.
+  HealthSnapshot health() const;
 
   /// Requests admitted but not yet picked up by a worker.
   size_t queueDepth() const { return Queue->depth(); }
@@ -319,10 +296,6 @@ private:
   void recordLatency(TimePoint EnqueuedAt, TimePoint Now);
   TenantCounters &tenantCounters(uint32_t Tenant);
 
-  /// Evaluates (and updates) the brownout gate against the current queue
-  /// depth; returns whether admission is currently shedding Low work.
-  bool brownoutGate();
-
   ServerOptions Opts;
   Engine Eng;
   std::unique_ptr<Scheduler> Queue;
@@ -331,16 +304,10 @@ private:
   /// path increments relaxed atomics instead of paying a name lookup
   /// under the registry mutex per request.
   std::atomic<int64_t> &CSubmitted, &CCompleted, &CRejected, &CExpired,
-      &CRetries, &CDepthMax, &CBrownouts, &CBrownoutSheds;
-
-  /// Brownout watermarks resolved to absolute depths at construction
-  /// (0 = brownout disabled), and the gate's sticky state.
-  size_t BrownoutHighDepth = 0;
-  size_t BrownoutLowDepth = 0;
-  std::atomic<bool> BrownoutActive{false};
+      &CRetries, &CDepthMax;
 
   /// Lazily resolved Serve.Tenant<id>.* cells, keyed by tenant.
-  std::mutex TenantMutex;
+  mutable std::mutex TenantMutex;
   std::unordered_map<uint32_t, TenantCounters> TenantStats;
 
   /// Depth-after-push samples, log2 buckets (support/Histogram.h).

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 namespace daisy {
 
@@ -112,8 +113,12 @@ bool failPointEvaluate(const char *Site) {
   return false;
 }
 
-size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed) {
-  size_t Armed = 0;
+std::vector<std::string> armFailPointsFromSpec(const std::string &Spec,
+                                               uint64_t Seed) {
+  // Every entry is parsed before any is armed, so a malformed entry
+  // throws with nothing armed: no earlier site outlives the failed call.
+  std::vector<std::string> Sites;
+  std::vector<FailPointConfig> Configs;
   size_t Pos = 0;
   auto malformed = [&](const std::string &Entry) {
     throw std::invalid_argument(
@@ -161,10 +166,12 @@ size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed) {
       if (EndPtr == Prob.c_str())
         malformed(Entry);
     }
-    armFailPoint(Site, Config, Seed);
-    ++Armed;
+    Sites.push_back(std::move(Site));
+    Configs.push_back(Config);
   }
-  return Armed;
+  for (size_t I = 0; I < Sites.size(); ++I)
+    armFailPoint(Sites[I], Configs[I], Seed);
+  return Sites;
 }
 
 } // namespace daisy

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace daisy {
 
@@ -87,9 +88,11 @@ bool failPointEvaluate(const char *Site);
 /// Arms sites from a scenario spec string:
 ///   "site=action[:micros]@probability[xmaxfires][;site=...]"
 /// e.g. "engine.compile=throw@1.0x1;kernel.run=delay:2000@0.25".
-/// Returns the number of sites armed; throws std::invalid_argument on a
-/// malformed spec.
-size_t armFailPointsFromSpec(const std::string &Spec, uint64_t Seed);
+/// Returns the armed site names in spec order; throws
+/// std::invalid_argument on a malformed spec, having armed none of its
+/// entries.
+std::vector<std::string> armFailPointsFromSpec(const std::string &Spec,
+                                               uint64_t Seed);
 
 #define DAISY_FAILPOINT(Site) ::daisy::failPointEvaluate(Site)
 

@@ -21,6 +21,13 @@ using namespace daisy;
 
 namespace {
 
+/// Hot kernels re-searched per cycle.
+constexpr size_t TopK = 4;
+/// Cycles a kernel sits out after a rollback before being retried.
+constexpr uint32_t CooldownCycles = 4;
+/// Seed of the bit-identity check's deterministic input fill.
+constexpr uint64_t EquivalenceSeed = 1;
+
 /// Builds the version-slot -> base-slot translation for running a
 /// candidate program on argument tables prepared against \p Base. Every
 /// candidate non-transient must match a base non-transient by name with
@@ -180,8 +187,8 @@ size_t OnlineTuner::runCycle() {
   std::sort(Ranked.begin(), Ranked.end(), [](const Work &A, const Work &B) {
     return A.TotalUs > B.TotalUs;
   });
-  if (Ranked.size() > Opts.TopK)
-    Ranked.resize(Opts.TopK);
+  if (Ranked.size() > TopK)
+    Ranked.resize(TopK);
 
   size_t Actions = 0;
   for (Work &W : Ranked) {
@@ -286,7 +293,7 @@ bool OnlineTuner::tryImprove(uint64_t Key,
   // Gate 3: bit-identity. Eps = 0.0 — the candidate must reproduce the
   // base program's results byte for byte on a deterministic fill, or it
   // never reaches live traffic.
-  if (!semanticallyEquivalent(Impl->Prog, Cand, 0.0, Opts.EquivalenceSeed)) {
+  if (!semanticallyEquivalent(Impl->Prog, Cand, 0.0, EquivalenceSeed)) {
     reject();
     return false;
   }
@@ -372,7 +379,7 @@ bool OnlineTuner::decideProbe(uint64_t Key,
         E.CurrentHash = CandHash;
       } else {
         E.RejectedHashes.insert(CandHash);
-        E.Cooldown = Opts.CooldownCycles;
+        E.Cooldown = CooldownCycles;
       }
       E.CandidateHash = 0;
     }

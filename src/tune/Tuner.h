@@ -81,8 +81,6 @@ struct OnlineTuningOptions {
   /// Runtime sampling period of each kernel's profile: 1-in-SampleEvery
   /// runs is timed (tune/Profile.h). 1 times every run.
   uint32_t SampleEvery = 16;
-  /// Capacity of each kernel's sample ring (the probe window).
-  uint32_t RingSize = 1024;
   /// Measured samples a kernel (and later its probe version) must have
   /// before the tuner acts on it.
   uint32_t MinSamples = 32;
@@ -90,12 +88,6 @@ struct OnlineTuningOptions {
   /// plan, in percent. A probe below it is rolled back. Negative values
   /// promote even regressions (test/bench forcing).
   double MinGainPct = 3.0;
-  /// Hot kernels re-searched per cycle.
-  size_t TopK = 4;
-  /// Cycles a kernel sits out after a rollback before being retried.
-  uint32_t CooldownCycles = 4;
-  /// Seed of the bit-identity check's deterministic input fill.
-  uint64_t EquivalenceSeed = 1;
 };
 
 /// The background tuner lane owned by an Engine. Thread-safe: the

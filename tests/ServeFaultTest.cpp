@@ -11,7 +11,7 @@
 // - determinism: a fault schedule is a pure function of its seed;
 // - the fault matrix — compile-throw, queue-full burst, slow kernel,
 //   worker stall, run fault, each crossed with every scheduler policy
-//   (FIFO, priority lanes, EDF, fair share):
+//   (FIFO, EDF, fair share):
 //   every submitted future completes with a definite status, the counter
 //   invariant Serve.Submitted == Completed + Rejected + Expired holds
 //   after drain — globally AND per tenant — and every Completed result
@@ -27,7 +27,8 @@
 //   re-closes the breaker once faults stop; kernels without a breaker
 //   (raw Kernel::compile) surface RunStatus::Faulted instead;
 // - seeded schedules: armFailPointsFromSpec under one seed reproduces
-//   the exact fault schedule, and another seed draws another one.
+//   the exact fault schedule, and another seed draws another one; a
+//   malformed spec arms none of its entries.
 //
 // ctest runs this binary at its default seed, and as the fault matrix
 // ServeFaultTest_seed<1-3> (DAISY_FAILPOINTS_SEED).
@@ -116,10 +117,10 @@ constexpr uint64_t DefaultSeed = 0xDA15Eull;
 //===----------------------------------------------------------------------===//
 
 /// Runs one fault scenario against one scheduler policy: a two-thread
-/// submit storm of two kernels with mixed priorities, deadlines, retry
-/// budgets, and three tenants, under the armed spec. Asserts the failure
-/// contracts, including the per-tenant drain invariant, and that the
-/// scenario's own site fired.
+/// submit storm of two kernels with mixed deadlines, retry budgets, and
+/// three tenants, under the armed spec. Asserts the failure contracts,
+/// including the per-tenant drain invariant, and that the scenario's own
+/// site fired.
 void runFaultScenario(const std::string &Spec, const std::string &Site,
                       SchedulerPolicy Policy) {
   SCOPED_TRACE("spec '" + Spec + "'");
@@ -173,7 +174,6 @@ void runFaultScenario(const std::string &Spec, const std::string &Site,
         P.Kind = static_cast<size_t>((T + R) % 2);
         P.Args = std::make_unique<OwnedArgs>(*Progs[P.Kind], 5);
         SubmitOptions SO;
-        SO.Prio = static_cast<Priority>(R % 3);
         SO.Tenant = static_cast<uint32_t>(R % 3);
         if (R % 3 == 0)
           SO.Timeout = std::chrono::milliseconds(2);
@@ -244,9 +244,9 @@ void runFaultScenario(const std::string &Spec, const std::string &Site,
   EXPECT_GT(Inj.fireCount(Site), 0u) << "scenario never fired " << Site;
 }
 
-const SchedulerPolicy AllPolicies[] = {
-    SchedulerPolicy::Fifo, SchedulerPolicy::PriorityLane,
-    SchedulerPolicy::EarliestDeadlineFirst, SchedulerPolicy::FairShare};
+const SchedulerPolicy AllPolicies[] = {SchedulerPolicy::Fifo,
+                                       SchedulerPolicy::EarliestDeadlineFirst,
+                                       SchedulerPolicy::FairShare};
 
 } // namespace
 
@@ -457,10 +457,24 @@ TEST(FailPointTest, SpecGrammarParsesAndRejects) {
   disarmAllFailPoints();
 }
 
+TEST(FailPointTest, MalformedSpecArmsNothing) {
+  // The valid first entry must not outlive the malformed second one: a
+  // spec is armed whole or not at all.
+  const std::string Spec = "test.malformed=trigger@1.0;bogus-entry";
+  EXPECT_THROW((void)armFailPointsFromSpec(Spec, 1), std::invalid_argument);
+  EXPECT_FALSE(DAISY_FAILPOINT("test.malformed"));
+  // A scenario built from it throws from its constructor, so its
+  // destructor never runs to disarm anything.
+  EXPECT_THROW({ FaultInjector Inj(Spec, 1); }, std::invalid_argument);
+  EXPECT_FALSE(DAISY_FAILPOINT("test.malformed"));
+  disarmAllFailPoints();
+}
+
 TEST(FailPointTest, SpecSeedSelectsTheFaultSchedule) {
   auto pattern = [](uint64_t Seed) {
     disarmAllFailPoints();
-    EXPECT_EQ(armFailPointsFromSpec("spec.seeded=trigger@0.5", Seed), 1u);
+    EXPECT_EQ(armFailPointsFromSpec("spec.seeded=trigger@0.5", Seed),
+              std::vector<std::string>{"spec.seeded"});
     std::vector<char> Fired;
     for (int I = 0; I < 64; ++I)
       Fired.push_back(DAISY_FAILPOINT("spec.seeded") ? 1 : 0);

@@ -21,11 +21,10 @@
 //   admission;
 // - context pool: a worker borrows a served kernel's pooled context per
 //   request, so after drain() the context is back in the kernel's pool;
-// - scheduling policies: FIFO, priority-lane, EDF, and FairShare pop in
-//   their contractual orders (observed via Request::Seq, no timing
-//   races); FairShare interleaves tenants by deficit-weighted
-//   round-robin and keeps a minority tenant at its fair completion
-//   share under a flood;
+// - scheduling policies: FIFO, EDF, and FairShare pop in their
+//   contractual orders (observed via Request::Seq, no timing races);
+//   FairShare interleaves tenants by deficit-weighted round-robin and
+//   keeps a minority tenant at its fair completion share under a flood;
 // - tenant quotas: a tenant at quota sheds its own overflow while other
 //   tenants keep their headroom, and the per-tenant counters hold
 //   Submitted == Completed + Rejected + Expired after drain;
@@ -571,11 +570,10 @@ std::vector<uint64_t> popOrder(serve::Scheduler &Sched) {
   return Order;
 }
 
-serve::Scheduler::PushResult pushWith(serve::Scheduler &Sched, TimePoint Deadline,
-                               Priority Prio = Priority::Normal) {
+serve::Scheduler::PushResult pushWith(serve::Scheduler &Sched,
+                                      TimePoint Deadline) {
   Request R;
   R.Deadline = Deadline;
-  R.Prio = Prio;
   return Sched.push(R);
 }
 
@@ -606,28 +604,12 @@ TEST(SchedulerPolicyTest, FifoPopsInAdmissionOrder) {
   auto Sched = serve::Scheduler::create(SchedulerPolicy::Fifo, 16,
                                  BackpressurePolicy::Reject);
   TimePoint Far = serveNow() + std::chrono::hours(1);
-  // Deadlines and priorities are present but must not reorder FIFO.
-  ASSERT_EQ(pushWith(*Sched, Far, Priority::Low), serve::Scheduler::PushResult::Ok);
-  ASSERT_EQ(pushWith(*Sched, noDeadline(), Priority::High),
-            serve::Scheduler::PushResult::Ok);
-  ASSERT_EQ(pushWith(*Sched, Far + std::chrono::hours(1), Priority::Normal),
+  // Deadlines are present but must not reorder FIFO.
+  ASSERT_EQ(pushWith(*Sched, Far), serve::Scheduler::PushResult::Ok);
+  ASSERT_EQ(pushWith(*Sched, noDeadline()), serve::Scheduler::PushResult::Ok);
+  ASSERT_EQ(pushWith(*Sched, Far + std::chrono::hours(1)),
             serve::Scheduler::PushResult::Ok);
   EXPECT_EQ(popOrder(*Sched), (std::vector<uint64_t>{0, 1, 2}));
-}
-
-TEST(SchedulerPolicyTest, PriorityLanesDrainHighestFirst) {
-  auto Sched = serve::Scheduler::create(SchedulerPolicy::PriorityLane, 16,
-                                 BackpressurePolicy::Reject);
-  ASSERT_EQ(pushWith(*Sched, noDeadline(), Priority::Low),
-            serve::Scheduler::PushResult::Ok); // Seq 0
-  ASSERT_EQ(pushWith(*Sched, noDeadline(), Priority::High),
-            serve::Scheduler::PushResult::Ok); // Seq 1
-  ASSERT_EQ(pushWith(*Sched, noDeadline(), Priority::Normal),
-            serve::Scheduler::PushResult::Ok); // Seq 2
-  ASSERT_EQ(pushWith(*Sched, noDeadline(), Priority::High),
-            serve::Scheduler::PushResult::Ok); // Seq 3
-  // High lane FIFO (1, 3), then Normal (2), then Low (0).
-  EXPECT_EQ(popOrder(*Sched), (std::vector<uint64_t>{1, 3, 2, 0}));
 }
 
 TEST(SchedulerPolicyTest, EdfPopsEarliestDeadlineFirstNoDeadlineLast) {
@@ -739,8 +721,8 @@ TEST(SchedulerPolicyTest, TenantQuotaConfinesOverflowToItsOwner) {
 
 TEST(SchedulerPolicyTest, ExpiredWorkShedsAtAdmissionAndAtPop) {
   for (SchedulerPolicy Policy :
-       {SchedulerPolicy::Fifo, SchedulerPolicy::PriorityLane,
-        SchedulerPolicy::EarliestDeadlineFirst, SchedulerPolicy::FairShare}) {
+       {SchedulerPolicy::Fifo, SchedulerPolicy::EarliestDeadlineFirst,
+        SchedulerPolicy::FairShare}) {
     auto Sched = serve::Scheduler::create(Policy, 16, BackpressurePolicy::Reject);
     // Already late at admission: handed back, never queued.
     EXPECT_EQ(pushWith(*Sched, serveNow() - std::chrono::milliseconds(1)),
@@ -961,8 +943,8 @@ TEST(ServeSchedulingTest, EveryPolicyServesBitIdenticalResults) {
   OwnedArgs Expected(Small, 5);
   ASSERT_TRUE(Kernel::compile(Small).run(Expected.binding()));
   for (SchedulerPolicy Policy :
-       {SchedulerPolicy::Fifo, SchedulerPolicy::PriorityLane,
-        SchedulerPolicy::EarliestDeadlineFirst, SchedulerPolicy::FairShare}) {
+       {SchedulerPolicy::Fifo, SchedulerPolicy::EarliestDeadlineFirst,
+        SchedulerPolicy::FairShare}) {
     ServerOptions Options;
     Options.Workers = 2;
     Options.QueueCapacity = 64;
@@ -974,7 +956,6 @@ TEST(ServeSchedulingTest, EveryPolicyServesBitIdenticalResults) {
     for (int I = 0; I < 12; ++I) {
       Owned.push_back(std::make_unique<OwnedArgs>(Small, 5));
       SubmitOptions SO;
-      SO.Prio = static_cast<Priority>(I % 3);
       SO.Tenant = static_cast<uint32_t>(I % 2);
       if (I % 2 == 0)
         SO.Deadline = serveNow() + std::chrono::hours(1);
@@ -1102,126 +1083,6 @@ TEST(ServeTenantTest, QuotaMakesTheFloodingTenantShedItsOwnOverflow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Health-driven brownout: admission sheds Low priority under distress
-//===----------------------------------------------------------------------===//
-
-TEST(ServeBrownoutTest, LowPriorityIsShedUnderDistressUnderEveryPolicy) {
-  for (SchedulerPolicy Policy :
-       {SchedulerPolicy::Fifo, SchedulerPolicy::PriorityLane,
-        SchedulerPolicy::EarliestDeadlineFirst, SchedulerPolicy::FairShare}) {
-    resetStatsCounters();
-    ServerOptions Options;
-    Options.Workers = 1;
-    Options.QueueCapacity = 4;
-    Options.Policy = BackpressurePolicy::Reject;
-    Options.Scheduling = Policy;
-    // High watermark at half capacity: depth 2 of 4 is distress.
-    Options.BrownoutHighWater = 0.5;
-    Server S(Options);
-    Program Small = makeGemm("i", "j", "k", 8);
-    Kernel K = S.compile(Small);
-
-    // Two plugs: the first absorbs worker start-up; once the second
-    // leaves the queue the single worker is busy for milliseconds, so
-    // the submits below observe the queue depth they created.
-    Kernel Plug = makePlugKernel();
-    OwnedArgs PlugArgs(Plug.program());
-    std::future<RunStatus> PlugDone =
-        S.submit(Plug, Plug.bind(PlugArgs.binding()));
-    waitUntilQueueEmpty(S);
-    Kernel Plug2 = makePlugKernel();
-    OwnedArgs Plug2Args(Plug2.program());
-    std::future<RunStatus> Plug2Done =
-        S.submit(Plug2, Plug2.bind(Plug2Args.binding()));
-    waitUntilQueueEmpty(S);
-
-    // Two queued requests reach the high watermark.
-    std::vector<std::unique_ptr<OwnedArgs>> Owned;
-    std::vector<std::future<RunStatus>> Admitted;
-    for (int I = 0; I < 2; ++I) {
-      Owned.push_back(std::make_unique<OwnedArgs>(Small));
-      Admitted.push_back(S.submit(K, K.bind(Owned.back()->binding())));
-    }
-
-    // Distress: a Low-priority submit is shed at admission...
-    SubmitOptions LowOpts;
-    LowOpts.Prio = Priority::Low;
-    Owned.push_back(std::make_unique<OwnedArgs>(Small));
-    RunStatus Shed =
-        S.submit(K, K.bind(Owned.back()->binding()), LowOpts).get();
-    EXPECT_EQ(Shed.Why, RunStatus::Overloaded);
-    EXPECT_NE(Shed.Error.find("brownout"), std::string::npos);
-
-    // ...while Normal and High priority keep being admitted.
-    for (Priority Prio : {Priority::High, Priority::Normal}) {
-      SubmitOptions SO;
-      SO.Prio = Prio;
-      Owned.push_back(std::make_unique<OwnedArgs>(Small));
-      Admitted.push_back(S.submit(K, K.bind(Owned.back()->binding()), SO));
-    }
-
-    S.drain();
-    EXPECT_TRUE(PlugDone.get().ok());
-    EXPECT_TRUE(Plug2Done.get().ok());
-    for (auto &F : Admitted)
-      EXPECT_TRUE(F.get().ok());
-    EXPECT_GE(statsCounter("Serve.Brownouts"), 1);
-    EXPECT_EQ(statsCounter("Serve.BrownoutSheds"), 1);
-    // The shed is a Rejected outcome: the drain invariant holds.
-    EXPECT_EQ(statsCounter("Serve.Submitted"),
-              statsCounter("Serve.Completed") +
-                  statsCounter("Serve.Rejected") +
-                  statsCounter("Serve.Expired"));
-  }
-}
-
-TEST(ServeBrownoutTest, BrownoutClearsAtTheLowWatermark) {
-  resetStatsCounters();
-  ServerOptions Options;
-  Options.Workers = 1;
-  Options.QueueCapacity = 4;
-  Options.BrownoutHighWater = 0.5;
-  Server S(Options);
-  Program Small = makeGemm("i", "j", "k", 8);
-  Kernel K = S.compile(Small);
-
-  Kernel Plug = makePlugKernel();
-  OwnedArgs PlugArgs(Plug.program());
-  std::future<RunStatus> PlugDone =
-      S.submit(Plug, Plug.bind(PlugArgs.binding()));
-  waitUntilQueueEmpty(S);
-  Kernel Plug2 = makePlugKernel();
-  OwnedArgs Plug2Args(Plug2.program());
-  std::future<RunStatus> Plug2Done =
-      S.submit(Plug2, Plug2.bind(Plug2Args.binding()));
-  waitUntilQueueEmpty(S);
-
-  std::vector<std::unique_ptr<OwnedArgs>> Owned;
-  std::vector<std::future<RunStatus>> Admitted;
-  for (int I = 0; I < 2; ++I) {
-    Owned.push_back(std::make_unique<OwnedArgs>(Small));
-    Admitted.push_back(S.submit(K, K.bind(Owned.back()->binding())));
-  }
-  EXPECT_TRUE(S.health().Brownout);
-  EXPECT_FALSE(S.health().healthy());
-
-  // Drained: the depth is back under the low watermark, the brownout
-  // episode is over, and Low priority is admitted again.
-  S.drain();
-  HealthSnapshot After = S.health();
-  EXPECT_FALSE(After.Brownout);
-  EXPECT_TRUE(After.healthy());
-  SubmitOptions LowOpts;
-  LowOpts.Prio = Priority::Low;
-  Owned.push_back(std::make_unique<OwnedArgs>(Small));
-  EXPECT_TRUE(S.submit(K, K.bind(Owned.back()->binding()), LowOpts).get().ok());
-  EXPECT_TRUE(PlugDone.get().ok());
-  EXPECT_TRUE(Plug2Done.get().ok());
-  for (auto &F : Admitted)
-    EXPECT_TRUE(F.get().ok());
-}
-
-//===----------------------------------------------------------------------===//
 // Health snapshot: one structured read of the runtime's vitals
 //===----------------------------------------------------------------------===//
 
@@ -1231,9 +1092,11 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersEngineAndTenants) {
   Options.Workers = 2;
   Options.QueueCapacity = 32;
   Server S(Options);
+  // health() is a read: every snapshot goes through a const view.
+  const Server &View = S;
 
   // A fresh server is healthy and idle.
-  HealthSnapshot Fresh = S.health();
+  HealthSnapshot Fresh = View.health();
   EXPECT_TRUE(Fresh.healthy());
   EXPECT_EQ(Fresh.QueueDepth, 0u);
   EXPECT_EQ(Fresh.QueueCapacity, 32u);
@@ -1253,7 +1116,7 @@ TEST(ServeHealthTest, SnapshotReportsQueuesCountersEngineAndTenants) {
   for (auto &F : Futures)
     EXPECT_TRUE(F.get().ok());
 
-  HealthSnapshot H = S.health();
+  HealthSnapshot H = View.health();
   EXPECT_TRUE(H.healthy());
   EXPECT_EQ(H.Submitted, 12);
   EXPECT_EQ(H.Submitted, H.Completed + H.Rejected + H.Expired);
