@@ -10,57 +10,57 @@
 
 using namespace daisy;
 
+namespace {
+
+/// log2 of \p Value if it is a power of two, else -1.
+int exactLog2(int64_t Value) {
+  if (Value <= 0 || (Value & (Value - 1)) != 0)
+    return -1;
+  int Log = 0;
+  while ((int64_t(1) << Log) < Value)
+    ++Log;
+  return Log;
+}
+
+} // namespace
+
 CacheLevel::CacheLevel(const CacheConfig &Config) : Config(Config) {
   assert(Config.SizeBytes > 0 && Config.Associativity > 0 &&
          Config.LineSize > 0 && "invalid cache geometry");
   NumSets = Config.SizeBytes / (Config.LineSize * Config.Associativity);
   if (NumSets < 1)
     NumSets = 1;
-  Tags.assign(static_cast<size_t>(NumSets * Config.Associativity), -1);
-  LastUse.assign(Tags.size(), 0);
+  WaysPerSet = static_cast<size_t>(Config.Associativity);
+  LineShift = exactLog2(Config.LineSize);
+  PowerOfTwo = LineShift >= 0 && exactLog2(NumSets) >= 0;
+  SetMask = NumSets - 1;
+  Tags.assign(static_cast<size_t>(NumSets) * WaysPerSet, -1);
 }
 
-bool CacheLevel::access(int64_t Address) {
-  ++Counters.Loads;
-  ++Clock;
-  int64_t Line = Address / Config.LineSize;
-  int64_t Set = Line % NumSets;
-  size_t Base = static_cast<size_t>(Set * Config.Associativity);
-
-  // Hit?
-  for (int Way = 0; Way < Config.Associativity; ++Way) {
-    if (Tags[Base + static_cast<size_t>(Way)] == Line) {
-      LastUse[Base + static_cast<size_t>(Way)] = Clock;
+bool CacheLevel::accessBehindFront(int64_t *Ways, int64_t Line) {
+  // Shift the ways back by one while scanning, so that the tag found (or,
+  // on a miss, the one that falls off the tail) leaves a hole at the
+  // front for Line.
+  int64_t Displaced = Ways[0];
+  for (size_t Way = 1; Way < WaysPerSet; ++Way) {
+    int64_t Tag = Ways[Way];
+    Ways[Way] = Displaced;
+    if (Tag == Line) {
+      Ways[0] = Line;
       ++Counters.Hits;
       return true;
     }
+    Displaced = Tag;
   }
-
-  // Miss: fill, evicting LRU if no invalid way exists.
+  Ways[0] = Line;
   ++Counters.Misses;
-  size_t Victim = Base;
-  bool FoundInvalid = false;
-  for (int Way = 0; Way < Config.Associativity; ++Way) {
-    size_t Slot = Base + static_cast<size_t>(Way);
-    if (Tags[Slot] < 0) {
-      Victim = Slot;
-      FoundInvalid = true;
-      break;
-    }
-    if (LastUse[Slot] < LastUse[Victim])
-      Victim = Slot;
-  }
-  if (!FoundInvalid)
+  if (Displaced >= 0)
     ++Counters.Evictions;
-  Tags[Victim] = Line;
-  LastUse[Victim] = Clock;
   return false;
 }
 
 void CacheLevel::reset() {
   Tags.assign(Tags.size(), -1);
-  LastUse.assign(LastUse.size(), 0);
-  Clock = 0;
   Counters = CacheCounters{};
 }
 
@@ -68,13 +68,6 @@ MemoryHierarchy::MemoryHierarchy(const std::vector<CacheConfig> &Configs) {
   Levels.reserve(Configs.size());
   for (const CacheConfig &Config : Configs)
     Levels.emplace_back(Config);
-}
-
-int MemoryHierarchy::access(int64_t Address) {
-  for (size_t I = 0; I < Levels.size(); ++I)
-    if (Levels[I].access(Address))
-      return static_cast<int>(I);
-  return static_cast<int>(Levels.size());
 }
 
 void MemoryHierarchy::reset() {

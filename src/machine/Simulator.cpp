@@ -68,6 +68,9 @@ struct CompiledAccess {
 struct CompiledComp {
   std::vector<CompiledAccess> Accesses;
   int64_t Flops = 0;
+  /// Compute cycles per execution, indexed [in vector loop][in atomic
+  /// loop].
+  double Cycles[2][2] = {};
 };
 
 struct CompiledLoop;
@@ -88,6 +91,12 @@ struct CompiledLoop {
   /// its body exceeds the register-pressure threshold.
   int SpillAccesses = 0;
   std::vector<CompiledNode> Body;
+  /// An innermost loop whose body holds only computations: every address
+  /// it touches moves by a constant stride per iteration.
+  bool Strided = false;
+  /// Per-iteration address stride of each access of the body, in the
+  /// order the body performs them (Strided loops only).
+  std::vector<int64_t> Strides;
 };
 
 struct CompiledCall {
@@ -101,15 +110,24 @@ class Simulation {
 public:
   Simulation(const Program &Prog, const SimOptions &Options)
       : Prog(Prog), Options(Options), Hierarchy(Options.Caches) {
+    // Cycles of an access served by each level (the last entry is main
+    // memory). Vector loads amortize L1 hits across SIMD lanes.
+    const CpuConfig &Cpu = Options.Cpu;
+    for (size_t Level = 0; Level <= Hierarchy.levels(); ++Level) {
+      double Cost = Level < Cpu.HitLatency.size() ? Cpu.HitLatency[Level]
+                                                  : Cpu.MemoryLatency;
+      ScalarCost.push_back(Cost);
+      VectorCost.push_back(Level == 0 ? Cost / Cpu.SimdWidth : Cost);
+    }
     assignArrayBases();
     for (const NodePtr &Node : Prog.topLevel())
       TopLevel.push_back(compileNode(Node));
   }
 
+  /// Simulates the program once on the freshly constructed hierarchy.
   SimReport run() {
     Slots.assign(SlotCount, 0);
     Report = SimReport{};
-    Hierarchy.reset();
     for (const CompiledNode &Node : TopLevel)
       execNode(Node);
     Report.Seconds = Report.Cycles / (Options.Cpu.FrequencyGHz * 1e9);
@@ -176,6 +194,13 @@ private:
       for (const ArrayAccess &R : C->reads())
         Comp.Accesses.push_back(compileAccess(R));
       Comp.Accesses.push_back(compileAccess(C->write()));
+      for (int Vector : {0, 1}) {
+        double FlopRate = Options.Cpu.ScalarFlopsPerCycle *
+                          (Vector ? Options.Cpu.SimdWidth : 1);
+        double Cycles = static_cast<double>(Comp.Flops) / FlopRate;
+        Comp.Cycles[Vector][0] = Cycles;
+        Comp.Cycles[Vector][1] = Cycles + Options.Cpu.AtomicCost;
+      }
       Comps.push_back(std::move(Comp));
       return {CompiledNode::Kind::Comp, Comps.size() - 1};
     }
@@ -197,6 +222,7 @@ private:
     Loop.Lower = compileAffine(L->lower());
     Loop.Upper = compileAffine(L->upper());
     Loop.Step = L->step();
+    assert(Loop.Step > 0 && "loops step forward");
     Loop.Parallel = L->isParallel();
     Loop.Vectorized = L->isVectorized();
     Loop.Atomic = L->usesAtomicReduction();
@@ -215,6 +241,16 @@ private:
       Loop.SpillAccesses =
           (BodyComps - Options.Cpu.RegisterPressureThreshold) *
           Options.Cpu.SpillAccessesPerComputation;
+    Loop.Strided = BodyComps == static_cast<int>(Loop.Body.size());
+    if (Loop.Strided)
+      for (const CompiledNode &Child : Loop.Body)
+        for (const CompiledAccess &Access : Comps[Child.Index].Accesses) {
+          int64_t Coeff = 0;
+          for (const auto &[Slot, C] : Access.Address.Terms)
+            if (Slot == Loop.Slot)
+              Coeff += C;
+          Loop.Strides.push_back(Coeff * Loop.Step);
+        }
     SlotOf.erase(L->iterator());
     Loops.push_back(std::move(Loop));
     return {CompiledNode::Kind::Loop, Loops.size() - 1};
@@ -224,26 +260,59 @@ private:
   // Execution
   //===--------------------------------------------------------------------===
 
+  const double *accessCost() const {
+    return InVectorLoop ? VectorCost.data() : ScalarCost.data();
+  }
+
   void execComp(const CompiledComp &Comp) {
+    const double *Cost = accessCost();
     double MemCycles = 0.0;
-    for (const CompiledAccess &Access : Comp.Accesses) {
-      int Level = Hierarchy.access(Access.Address.eval(Slots));
-      double Cost =
-          Level < static_cast<int>(Options.Cpu.HitLatency.size())
-              ? Options.Cpu.HitLatency[static_cast<size_t>(Level)]
-              : Options.Cpu.MemoryLatency;
-      // Vector loads amortize L1 hits across SIMD lanes.
-      if (InVectorLoop && Level == 0)
-        Cost /= Options.Cpu.SimdWidth;
-      MemCycles += Cost;
-    }
-    double FlopRate = Options.Cpu.ScalarFlopsPerCycle *
-                      (InVectorLoop ? Options.Cpu.SimdWidth : 1);
-    double CompCycles = static_cast<double>(Comp.Flops) / FlopRate;
-    if (InAtomicLoop)
-      CompCycles += Options.Cpu.AtomicCost;
-    Report.Cycles += MemCycles + CompCycles;
+    for (const CompiledAccess &Access : Comp.Accesses)
+      MemCycles += Cost[Hierarchy.access(Access.Address.eval(Slots))];
+    Report.Cycles += MemCycles + Comp.Cycles[InVectorLoop][InAtomicLoop];
     Report.Flops += Comp.Flops;
+  }
+
+  /// Spill traffic of one iteration of \p Loop: rotating slots in a
+  /// dedicated stack frame region, never vector-amortized.
+  void execSpills(const CompiledLoop &Loop, double &Cycles) {
+    for (int S = 0; S < Loop.SpillAccesses; ++S)
+      Cycles += ScalarCost[static_cast<size_t>(
+          Hierarchy.access(SpillBase + (S * 64) % 4096))];
+  }
+
+  /// The \p Trip iterations of a Strided loop from \p Lo: each address
+  /// is evaluated once and then advanced by its stride. Accesses reach
+  /// the hierarchy and cycles accumulate in the same order as through
+  /// execComp and execSpills, so the report is the same to the bit.
+  void execStrided(const CompiledLoop &Loop, int64_t Lo, int64_t Trip) {
+    Slots[static_cast<size_t>(Loop.Slot)] = Lo;
+    Addresses.clear();
+    for (const CompiledNode &Child : Loop.Body)
+      for (const CompiledAccess &Access : Comps[Child.Index].Accesses)
+        Addresses.push_back(Access.Address.eval(Slots));
+    const double *Cost = accessCost();
+    const int64_t *Strides = Loop.Strides.data();
+    int64_t *Address = Addresses.data();
+    double Cycles = Report.Cycles;
+    int64_t BodyFlops = 0;
+    for (const CompiledNode &Child : Loop.Body)
+      BodyFlops += Comps[Child.Index].Flops;
+    for (int64_t Iter = 0; Iter < Trip; ++Iter) {
+      size_t A = 0;
+      for (const CompiledNode &Child : Loop.Body) {
+        const CompiledComp &Comp = Comps[Child.Index];
+        double MemCycles = 0.0;
+        for (size_t End = A + Comp.Accesses.size(); A < End; ++A) {
+          MemCycles += Cost[Hierarchy.access(Address[A])];
+          Address[A] += Strides[A];
+        }
+        Cycles += MemCycles + Comp.Cycles[InVectorLoop][InAtomicLoop];
+      }
+      execSpills(Loop, Cycles);
+    }
+    Report.Cycles = Cycles;
+    Report.Flops += BodyFlops * Trip;
   }
 
   void execCall(const CompiledCall &Call) {
@@ -275,20 +344,15 @@ private:
     if (StartsAtomic)
       InAtomicLoop = true;
 
-    for (int64_t I = Lo; I < Hi; I += Loop.Step) {
-      Slots[static_cast<size_t>(Loop.Slot)] = I;
-      for (const CompiledNode &Child : Loop.Body)
-        execNode(Child);
-      // Spill traffic: rotating slots in a dedicated stack frame region.
-      for (int S = 0; S < Loop.SpillAccesses; ++S) {
-        int Level = Hierarchy.access(SpillBase + (S * 64) % 4096);
-        double Cost =
-            Level < static_cast<int>(Options.Cpu.HitLatency.size())
-                ? Options.Cpu.HitLatency[static_cast<size_t>(Level)]
-                : Options.Cpu.MemoryLatency;
-        Report.Cycles += Cost;
+    if (Loop.Strided)
+      execStrided(Loop, Lo, Trip);
+    else
+      for (int64_t I = Lo; I < Hi; I += Loop.Step) {
+        Slots[static_cast<size_t>(Loop.Slot)] = I;
+        for (const CompiledNode &Child : Loop.Body)
+          execNode(Child);
+        execSpills(Loop, Report.Cycles);
       }
-    }
 
     if (StartsVector)
       InVectorLoop = false;
@@ -328,6 +392,9 @@ private:
   const Program &Prog;
   const SimOptions &Options;
   MemoryHierarchy Hierarchy;
+  /// Cycles per access served by level L (index levels() = memory),
+  /// outside and inside vector loops.
+  std::vector<double> ScalarCost, VectorCost;
 
   std::map<std::string, int64_t> ArrayBase;
   int64_t SpillBase = 0;
@@ -339,6 +406,8 @@ private:
   std::vector<CompiledNode> TopLevel;
 
   std::vector<int64_t> Slots;
+  /// Current address of each access of the Strided loop being walked.
+  std::vector<int64_t> Addresses;
   bool InParallelRegion = false;
   bool InVectorLoop = false;
   bool InAtomicLoop = false;

@@ -15,6 +15,16 @@
 /// calls (CallNode) are charged near machine peak via the BLAS efficiency
 /// model.
 ///
+/// The walk is the inner loop of every schedule search, so it is built
+/// for speed without changing a number: per-level access costs and each
+/// computation's compute cycles come from tables built once per
+/// simulation, and an innermost loop whose body holds only computations
+/// evaluates each address once and then advances it by its constant
+/// stride. Accesses reach the cache hierarchy, and cycles accumulate, in
+/// the same order as a per-access evaluation of the affine subscripts,
+/// so every SimReport is bit-identical to that walk
+/// (SimulatorTest.ReportsMatchThePinnedDigest pins them).
+///
 /// The absolute numbers are model outputs, not wall-clock measurements;
 /// what the benches rely on is that the model responds to loop order,
 /// fission/fusion, tiling, vectorization, and parallelization the way the

@@ -12,6 +12,8 @@
 #include "support/Statistics.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 using namespace daisy;
 
@@ -25,27 +27,58 @@ uint64_t SimCache::keyFor(const Program &Prog, const SimOptions &Options) {
 
 double SimCache::seconds(const Program &Prog, const SimOptions &Options) {
   uint64_t Key = keyFor(Prog, Options);
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Entries.find(Key);
-    if (It != Entries.end()) {
-      addStatsCounter("SimCache.Hits");
-      return It->second;
-    }
+  if (std::optional<double> Cached = find(Key)) {
+    addStatsCounter("SimCache.Hits");
+    return *Cached;
   }
   // Simulate outside the lock: the walk is the expensive part, and a
   // racing duplicate computes the identical value.
   addStatsCounter("SimCache.Misses");
   double Seconds = simulateProgram(Prog, Options).Seconds;
+  insert(Key, Seconds);
+  return Seconds;
+}
+
+std::optional<double> SimCache::find(uint64_t Key) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Entries.find(Key);
+  if (It == Entries.end())
+    return std::nullopt;
+  return It->second;
+}
+
+void SimCache::insert(uint64_t Key, double Seconds) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Entries.emplace(Key, Seconds);
-  return Seconds;
 }
 
 size_t SimCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Entries.size();
 }
+
+namespace {
+
+/// Runs Work(0) .. Work(Count - 1) on up to \p Threads lanes of the
+/// global pool, each lane claiming the next index from a shared counter
+/// (on the calling thread alone when one lane suffices).
+template <typename Fn>
+void claimEach(int Threads, size_t Count, const Fn &Work) {
+  int Lanes = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(Threads), Count));
+  if (Lanes <= 1) {
+    for (size_t I = 0; I < Count; ++I)
+      Work(I);
+    return;
+  }
+  std::atomic<size_t> Next{0};
+  ThreadPool::global().run(Lanes, [&](int) {
+    for (size_t I = Next++; I < Count; I = Next++)
+      Work(I);
+  });
+}
+
+} // namespace
 
 Evaluator::Evaluator(SimOptions Options, EvalConfig Config)
     : Options(std::move(Options)), Config(Config) {
@@ -55,44 +88,76 @@ Evaluator::Evaluator(SimOptions Options, EvalConfig Config)
     Threads = 1;
 }
 
-double Evaluator::programSeconds(const Program &Ctx) {
-  addStatsCounter("Evaluator.Candidates");
-  if (Config.EnableCache)
-    return Cache.seconds(Ctx, Options);
-  return simulateProgram(Ctx, Options).Seconds;
-}
-
 double Evaluator::recipeSeconds(const Program &Prog, size_t Index,
                                 const Recipe &R) {
-  // Shallow program copy: topLevel shares every sibling nest; arrays and
-  // parameters are value-copied so applyRecipe may extend them freely.
-  Program Ctx = Prog;
-  Ctx.topLevel()[Index] = applyRecipe(R, Prog.topLevel()[Index], Ctx);
-  return programSeconds(Ctx);
+  return recipeSecondsBatch(Prog, Index, {R}).front();
 }
 
 std::vector<double>
 Evaluator::recipeSecondsBatch(const Program &Prog, size_t Index,
                               const std::vector<Recipe> &Recipes) {
-  std::vector<double> Results(Recipes.size(), 0.0);
   size_t Count = Recipes.size();
-  int Lanes = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(Threads), Count));
-  if (Lanes <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Results[I] = recipeSeconds(Prog, Index, Recipes[I]);
-    return Results;
-  }
-  // One lane per requested thread: lane L scores candidates L, L+Lanes,
-  // ... so concurrency is bounded by the evaluator's thread count, not the
-  // (larger) pool size, and every result lands in its input slot. Each
-  // score is deterministic and independent, so the partition does not
-  // influence the values.
-  addStatsCounter("Evaluator.Batches");
-  ThreadPool::global().run(Lanes, [&](int Lane) {
-    for (size_t I = static_cast<size_t>(Lane); I < Count;
-         I += static_cast<size_t>(Lanes))
-      Results[I] = recipeSeconds(Prog, Index, Recipes[I]);
+  if (Count == 0)
+    return {};
+  addStatsCounter("Evaluator.Candidates", static_cast<int64_t>(Count));
+
+  // Transform and key every candidate. Each context is a shallow program
+  // copy: topLevel shares every sibling nest; arrays and parameters are
+  // value-copied so applyRecipe may extend them freely.
+  std::vector<Program> Contexts(Count);
+  std::vector<uint64_t> Keys(Count, 0);
+  claimEach(Threads, Count, [&](size_t I) {
+    Program &Ctx = Contexts[I];
+    Ctx = Prog;
+    Ctx.topLevel()[Index] =
+        applyRecipe(Recipes[I], Prog.topLevel()[Index], Ctx);
+    if (Config.EnableCache)
+      Keys[I] = SimCache::keyFor(Ctx, Options);
   });
+
+  // Resolve the keys in input order: a key the cache holds, or one an
+  // earlier candidate of this batch claimed, is a hit; every other
+  // candidate owns one simulation. Source[I] is the simulation that
+  // scores candidate I (FromCache when the cache already did).
+  constexpr size_t FromCache = SIZE_MAX;
+  std::vector<double> Results(Count, 0.0);
+  std::vector<size_t> Source(Count, FromCache);
+  std::vector<size_t> Owners; // candidate of each simulation
+  std::unordered_map<uint64_t, size_t> Claimed;
+  int64_t Hits = 0;
+  for (size_t I = 0; I < Count; ++I) {
+    if (Config.EnableCache) {
+      if (std::optional<double> Seconds = Cache.find(Keys[I])) {
+        Results[I] = *Seconds;
+        ++Hits;
+        continue;
+      }
+      auto [It, Fresh] = Claimed.emplace(Keys[I], Owners.size());
+      if (!Fresh) {
+        Source[I] = It->second;
+        ++Hits;
+        continue;
+      }
+    }
+    Source[I] = Owners.size();
+    Owners.push_back(I);
+  }
+  if (Config.EnableCache) {
+    if (Hits > 0)
+      addStatsCounter("SimCache.Hits", Hits);
+    if (!Owners.empty())
+      addStatsCounter("SimCache.Misses", static_cast<int64_t>(Owners.size()));
+  }
+
+  std::vector<double> Simulated(Owners.size(), 0.0);
+  claimEach(Threads, Owners.size(), [&](size_t J) {
+    Simulated[J] = simulateProgram(Contexts[Owners[J]], Options).Seconds;
+  });
+  if (Config.EnableCache)
+    for (size_t J = 0; J < Owners.size(); ++J)
+      Cache.insert(Keys[Owners[J]], Simulated[J]);
+  for (size_t I = 0; I < Count; ++I)
+    if (Source[I] != FromCache)
+      Results[I] = Simulated[Source[I]];
   return Results;
 }

@@ -24,12 +24,18 @@
 ///   a full cache-simulator walk. Hit/miss counts are exposed through the
 ///   support/Statistics counters "SimCache.Hits" / "SimCache.Misses".
 ///
-/// - Evaluator::recipeSecondsBatch fans independent candidate scorings
-///   over the persistent thread pool (exec/ThreadPool.h), with results
-///   collected into their input slots. Candidate scoring draws no random
-///   numbers and simulation is deterministic, so the scores — and every
-///   search decision derived from them — are bit-identical at every
-///   thread count, the same guarantee the parallel execution backend
+/// - Evaluator::recipeSecondsBatch scores a batch in one path at every
+///   thread count: it transforms and keys every candidate, then simulates
+///   each distinct key the SimCache lacks exactly once, with up to
+///   EvalConfig::NumThreads lanes of the persistent thread pool
+///   (exec/ThreadPool.h) claiming the next candidate or simulation from
+///   an atomic counter. Keys are resolved in input order between the two
+///   steps, so a duplicate within a batch counts as a hit, as it would
+///   scored one at a time, and the hit and miss counts do not depend on
+///   the thread count. Candidate scoring draws no random numbers and
+///   simulation is deterministic, so the scores — and every search
+///   decision derived from them — are bit-identical at every thread
+///   count, the same guarantee the parallel execution backend
 ///   established for program results.
 ///
 /// Scoring clones nothing but the nest under evaluation: the untouched
@@ -47,14 +53,16 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 namespace daisy {
 
-/// Memoization table for whole-program simulations. Thread-safe: batch
-/// workers probe and fill it concurrently; a racing pair of misses on the
-/// same key both simulate (deterministically, to the same value) and the
-/// second insert is a no-op.
+/// Memoization table for whole-program simulations. Thread-safe. The
+/// Evaluator runs one simulation per distinct key per batch; only batches
+/// racing on one table from different threads can both simulate a key
+/// (deterministically, to the same value), and the second insert is then
+/// a no-op.
 class SimCache {
 public:
   /// Cache key of simulating \p Prog under \p Options: marks-aware
@@ -64,6 +72,12 @@ public:
 
   /// Memoized simulateProgram(Prog, Options).Seconds.
   double seconds(const Program &Prog, const SimOptions &Options);
+
+  /// The seconds stored under \p Key, if any.
+  std::optional<double> find(uint64_t Key) const;
+
+  /// Stores \p Seconds under \p Key; a no-op if the key is present.
+  void insert(uint64_t Key, double Seconds);
 
   /// Number of distinct simulations stored.
   size_t size() const;
@@ -75,8 +89,8 @@ private:
 
 /// Knobs of the evaluator.
 struct EvalConfig {
-  /// Number of candidates scored concurrently by the batch API. 1 scores
-  /// serially on the calling thread; 0 resolves to
+  /// Number of lanes that transform and simulate a batch's candidates
+  /// concurrently. 1 scores on the calling thread; 0 resolves to
   /// ThreadPool::defaultThreadCount() (DAISY_THREADS or the hardware
   /// concurrency). Results are bit-identical for every value.
   int NumThreads = 0;
@@ -103,16 +117,14 @@ public:
   /// sibling nests are shared with \p Prog.
   double recipeSeconds(const Program &Prog, size_t Index, const Recipe &R);
 
-  /// Scores every recipe of \p Recipes against nest \p Index, fanning the
-  /// candidates over the thread pool. Results arrive in input order and
-  /// are bit-identical to the serial path at every thread count.
+  /// Scores every recipe of \p Recipes against nest \p Index, simulating
+  /// each distinct candidate the cache lacks once (every candidate when
+  /// the cache is off). Results arrive in input order and are
+  /// bit-identical at every thread count.
   std::vector<double> recipeSecondsBatch(const Program &Prog, size_t Index,
                                          const std::vector<Recipe> &Recipes);
 
 private:
-  /// Scores an already-transformed program (cache or full simulation).
-  double programSeconds(const Program &Ctx);
-
   SimOptions Options;
   EvalConfig Config;
   int Threads = 1;

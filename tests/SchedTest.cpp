@@ -198,6 +198,38 @@ TEST(EvaluatorTest, BatchMatchesSerialAtEveryThreadCount) {
     }
 }
 
+TEST(EvaluatorTest, BatchSimulatesEachDistinctCandidateOnce) {
+  // Eight candidates, three distinct: every lane count simulates each
+  // distinct candidate once and counts its repeats as hits, as scoring
+  // them one at a time does.
+  Program Prog = makeGemmVariant("j", "k", "i", 32);
+  Recipe Plain;
+  Recipe Marked = Recipe::defaultParallelRecipe();
+  Recipe Tiled;
+  RecipeStep Tile;
+  Tile.StepKind = RecipeStep::Kind::Tile;
+  Tile.Tiles = {8, 8, 8};
+  Tiled.Steps.push_back(Tile);
+  // Repeats sit next to each other, where lanes pick them up together.
+  std::vector<Recipe> Recipes = {Marked, Marked, Plain, Plain,
+                                 Tiled,  Tiled,  Marked, Plain};
+
+  for (int Threads : {1, 2, 4}) {
+    EvalConfig Config;
+    Config.NumThreads = Threads;
+    Evaluator Eval(fastOptions(), Config);
+    resetStatsCounters();
+    std::vector<double> Batch = Eval.recipeSecondsBatch(Prog, 0, Recipes);
+    EXPECT_EQ(statsCounter("SimCache.Misses"), 3) << "threads=" << Threads;
+    EXPECT_EQ(statsCounter("SimCache.Hits"), 5) << "threads=" << Threads;
+    EXPECT_EQ(statsCounter("Evaluator.Candidates"), 8);
+    ASSERT_EQ(Batch.size(), Recipes.size());
+    for (size_t I = 0; I < Recipes.size(); ++I)
+      EXPECT_EQ(Batch[I], evaluateRecipe(Recipes[I], Prog, 0, fastOptions()))
+          << "threads=" << Threads << " i=" << I;
+  }
+}
+
 TEST(EvaluatorTest, SharedContextIsNotMutated) {
   Program Prog = makeGemmVariant("i", "j", "k", 16);
   uint64_t Before = structuralHashWithMarks(Prog.topLevel()[0]);
@@ -222,20 +254,30 @@ std::string recipesDigest(const std::vector<Recipe> &Recipes) {
 }
 
 /// Runs \p Body under every (threads, cache) evaluator configuration and
-/// expects the digest it returns to be identical everywhere.
+/// expects the digest it returns to be identical everywhere, and every
+/// cached configuration to simulate the same number of candidates.
 template <typename Fn> void expectDeterministicAcrossConfigs(const Fn &Body) {
   std::string Reference;
+  int64_t ReferenceMisses = -1;
   for (int Threads : {1, 2, 4})
     for (bool Cache : {false, true}) {
       EvalConfig Config;
       Config.NumThreads = Threads;
       Config.EnableCache = Cache;
       Evaluator Eval(fastOptions(), Config);
+      resetStatsCounters();
       std::string Digest = Body(Eval);
       if (Reference.empty())
         Reference = Digest;
       EXPECT_EQ(Digest, Reference)
           << "diverged at threads=" << Threads << " cache=" << Cache;
+      if (!Cache)
+        continue;
+      int64_t Misses = statsCounter("SimCache.Misses");
+      if (ReferenceMisses < 0)
+        ReferenceMisses = Misses;
+      EXPECT_EQ(Misses, ReferenceMisses)
+          << "simulation count diverged at threads=" << Threads;
     }
 }
 
